@@ -69,13 +69,7 @@ from .instances import (
     parse_instance,
     validate,
 )
-from .oracle import (
-    SearchBudget,
-    pqi_nqi_brute,
-    solve_bribery_brute,
-    solve_control_brute,
-    solve_microbribery_brute,
-)
+from .oracle import SearchBudget, pqi_nqi_brute
 from .partial import PartialQuery, answer_query
 from .profiles import (
     eval as eval_rule,
@@ -86,17 +80,7 @@ from .profiles import (
     parse_profile,
     parse_rule_tokens,
 )
-from .solvers import (
-    _brute_for,
-    _specialized_for,
-    solve_auto,
-    solve_cgb_xp,
-    solve_cgcai_r1,
-    solve_dgb_xp,
-    solve_fpt_ilp,
-    solve_gcdi_22,
-    solve_microbribery_consent,
-)
+from .solvers import BY_NAME, ORACLE_FOR_FAMILY, ORACLES, auto_solver, solve_auto
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -118,18 +102,6 @@ MISMATCH_ERRORS = (
     InvalidR,
     PreconditionViolated,
 )
-
-NAMED_SOLVERS = {
-    "cgb_xp": solve_cgb_xp,
-    "dgb_xp": solve_dgb_xp,
-    "gcdi_22": solve_gcdi_22,
-    "cgcai_r1": solve_cgcai_r1,
-    "microbribery_consent": solve_microbribery_consent,
-    "fpt_ilp": solve_fpt_ilp,
-    "control_brute": solve_control_brute,
-    "bribery_brute": solve_bribery_brute,
-    "microbribery_brute": solve_microbribery_brute,
-}
 
 FLIP_CHARS = {1: "+", -1: "-", 0: "*"}
 
@@ -178,8 +150,11 @@ def parse_subset(spec, profile):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s: non-ASCII byte 0x%02x" % (path, exc.object[exc.start])) from None
 
 
 def _write(path: str, text: str):
@@ -219,16 +194,6 @@ def witness_text(instance, solution) -> str:
     return " ".join(names_of(p, solution.members))
 
 
-def _dispatch_plan(instance, selector):
-    """The (name, callable) that will run; auto resolves past immunity."""
-    if selector == "brute":
-        return _brute_for(instance)
-    if selector != "auto":
-        return selector, NAMED_SOLVERS[selector]
-    special = _specialized_for(instance)
-    return special if special is not None else _brute_for(instance)
-
-
 def cmd_eval(args, argv) -> int:
     profile = parse_profile(_read(args.profile))
     rule = parse_rule_spec(args.rule)
@@ -254,16 +219,16 @@ def cmd_solve(args, argv) -> int:
     for warning in violations:
         report.add("warning", warning)
     search = _search(args)
+    solver_name = ORACLE_FOR_FAMILY[instance.family] if args.solver == "brute" else args.solver
     started = time.perf_counter()
     try:
-        if args.solver == "auto":
+        if solver_name == "auto":
             verdict, solver_name = solve_auto(instance, search)
         else:
-            solver_name, fn = _dispatch_plan(instance, args.solver)
-            verdict = fn(instance, search)
+            verdict = BY_NAME[solver_name](instance, search)
     except InstanceTooLarge as exc:
-        refused, _fn = _dispatch_plan(instance, args.solver)
-        report.add("solver", refused)
+        # preflight never runs out of room, so auto names the solver it picked
+        report.add("solver", auto_solver(instance)[0] if solver_name == "auto" else solver_name)
         report.add("refused", str(exc))
         report.emit(args.format)
         return EXIT_TOO_LARGE
@@ -435,7 +400,7 @@ def cmd_xval(args, argv) -> int:
         started = time.perf_counter()
         verdict, solver_name = solve_auto(instance, search)
         auto_ms = (time.perf_counter() - started) * 1000.0
-        brute_name, brute = _brute_for(instance)
+        brute = ORACLES[ORACLE_FOR_FAMILY[instance.family]]
         started = time.perf_counter()
         ground = brute(instance, search)
         brute_ms = (time.perf_counter() - started) * 1000.0
@@ -478,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide an attack instance")
     p.add_argument("instance")
     p.add_argument("--solver", default="auto",
-                   choices=("auto", "brute") + tuple(sorted(NAMED_SOLVERS)))
+                   choices=("auto", "brute") + tuple(sorted(BY_NAME)))
     p.add_argument("--limit-nodes", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_solve)

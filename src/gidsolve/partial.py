@@ -43,7 +43,6 @@ from .errors import (
     NoRExtension,
     ParseError,
     PreconditionViolated,
-    QuotaConstraintViolated,
     WrongKind,
 )
 from .oracle import DEFAULT_SEARCH, SearchBudget, pqi_nqi_brute
@@ -172,11 +171,7 @@ def _check_query(profile: Profile, subset, rule: SocialRule) -> list[int]:
             raise IndexOutOfRange("individual index %d out of range for n=%d" % (a, profile.n))
     if not members:
         raise PreconditionViolated("query set must be nonempty")
-    if rule.variant == "consent" and rule.s + rule.t > profile.n + 2:
-        raise QuotaConstraintViolated(
-            "consent quotas s=%d t=%d violate s + t <= n + 2 for n=%d"
-            % (rule.s, rule.t, profile.n)
-        )
+    rule.ensure_quota_bound(profile.n)
     return members
 
 
@@ -337,8 +332,10 @@ def r_pqi_consent_flow(profile: Profile, subset, r: int, rule: SocialRule) -> bo
     return _star_flow_value(profile, members, needs, demands)
 
 
-def r_pqi_general(profile: Profile, subset, r: int, rule: SocialRule,
-                  branch_cap: int = 4096) -> bool:
+R_PQI_BRANCH_CAP = 4096  # diagonal branches r_pqi_general will try before refusing
+
+
+def r_pqi_general(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     """Possible qualification under exactly-r rows, any consent rule.
 
     Branches over the unknown diagonals of queried members; per branch a
@@ -352,9 +349,9 @@ def r_pqi_general(profile: Profile, subset, r: int, rule: SocialRule,
     members = _check_query(profile, subset, rule)
     base_needs = _row_needs(profile, r)
     star_diags = [a for a in members if profile.entry(a, a) == UNKNOWN]
-    if 2 ** len(star_diags) > branch_cap:
+    if 2 ** len(star_diags) > R_PQI_BRANCH_CAP:
         raise InstanceTooLarge(
-            "%d diagonal branches exceed cap %d" % (2 ** len(star_diags), branch_cap)
+            "%d diagonal branches exceed cap %d" % (2 ** len(star_diags), R_PQI_BRANCH_CAP)
         )
     for choice in itertools.product((1, -1), repeat=len(star_diags)):
         resolved = dict(zip(star_diags, choice))

@@ -233,6 +233,13 @@ class SocialRule:
             return self.majority_quota(n)
         return self.s_prime
 
+    def ensure_quota_bound(self, n: int):
+        """Consent quotas on n individuals must satisfy s + t <= n + 2."""
+        if self.variant == "consent" and self.s + self.t > n + 2:
+            raise QuotaConstraintViolated(
+                "consent quotas s=%d t=%d violate s + t <= n + 2 for n=%d" % (self.s, self.t, n)
+            )
+
     def describe(self) -> str:
         if self.variant == "consent":
             return "consent %d %d" % (self.s, self.t)
@@ -297,10 +304,7 @@ def ensure_applicable(rule: SocialRule, profile: Profile):
         return
     if profile.kind != "binary":
         raise RuleNotApplicable("%s rule needs a binary profile, got %s" % (rule.variant, profile.kind))
-    if rule.variant == "consent" and rule.s + rule.t > profile.n + 2:
-        raise QuotaConstraintViolated(
-            "consent quotas s=%d t=%d violate s + t <= n + 2 for n=%d" % (rule.s, rule.t, profile.n)
-        )
+    rule.ensure_quota_bound(profile.n)
 
 
 def subset_mask(subset, profile: Profile) -> int:

@@ -1,16 +1,18 @@
-"""Specialized attack solvers and immunity short-circuits.
+"""Specialized attack solvers, immunity short-circuits and dispatch.
 
-Every entry point follows the same preflight: if the empty action already
-meets the objective the answer is YES with an empty witness; otherwise, on
-instances where neither target side is trivially satisfied, the immunity
-table is consulted and a match short-circuits to IMMUNE.  Only then does
-the actual algorithm run.  Immunity rows are data, kept auditable as one
-static relation.
+Every solve runs one preflight: if the empty action already meets the
+objective the answer is YES with an empty witness; otherwise, on instances
+where neither target side is trivially satisfied, the immunity table is
+consulted and a match short-circuits to IMMUNE.  Only then does the actual
+algorithm run.  Immunity rows are data, kept auditable as one static
+relation; so are the specialized solvers' domains, kept in SOLVERS, which
+both automatic dispatch and named calls read.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import profiles
@@ -195,21 +197,15 @@ def _all_plus_rows(instance: AttackInstance, members) -> dict:
     return {a: [1] * n for a in members}
 
 
-def solve_cgb_xp(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH) -> Verdict:
+def _cgb_xp(instance: AttackInstance, search: SearchBudget) -> Verdict:
     """Constructive consent bribery with t=1.
 
     Self-disqualifying targets must be bribed outright; beyond that it is
     never useful to bribe more than s further individuals, all of them to
-    fully approving rows.
+    fully approving rows.  Prices are at least 1, so no extra set larger
+    than the remaining budget is affordable.
     """
     rule = instance.rule
-    if instance.family != "GB" or instance.objective != "constructive":
-        raise PreconditionViolated("this algorithm handles constructive GB only")
-    if rule.variant != "consent" or rule.t != 1:
-        raise PreconditionViolated("this algorithm needs a consent rule with t=1")
-    early = preflight(instance)
-    if early is not None:
-        return early
     p = instance.profile
     n = p.n
     forced = sorted(a for a in instance.aplus if p.entry(a, a) == -1)
@@ -219,7 +215,7 @@ def solve_cgb_xp(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH
         return NO_VERDICT
     remaining = instance.budget - forced_cost
     pool = [b for b in range(n) if b not in forced_set]
-    cap = min(rule.s, len(pool))
+    cap = min(rule.s, len(pool), remaining)
     for size in range(0, cap + 1):
         for extra in itertools.combinations(pool, size):
             if instance.cost_of_agents(extra) > remaining:
@@ -230,21 +226,15 @@ def solve_cgb_xp(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH
     return NO_VERDICT
 
 
-def solve_dgb_xp(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH) -> Verdict:
+def _dgb_xp(instance: AttackInstance, search: SearchBudget) -> Verdict:
     """Destructive consent bribery with s=1, by sign-flip transport.
 
     Disqualifying a set under consent(1,t) in a profile is the same task as
     qualifying it under consent(t,1) in the negated profile; the bribed set
-    carries over and the replacement rows come back negated.
+    carries over and the replacement rows come back negated.  By the same
+    duality the dual passes preflight whenever the original does.
     """
     rule = instance.rule
-    if instance.family != "GB" or instance.objective != "destructive":
-        raise PreconditionViolated("this algorithm handles destructive GB only")
-    if rule.variant != "consent" or rule.s != 1:
-        raise PreconditionViolated("this algorithm needs a consent rule with s=1")
-    early = preflight(instance)
-    if early is not None:
-        return early
     dual = make_instance(
         profiles.negate(instance.profile),
         profiles.SocialRule.consent(rule.t, 1),
@@ -254,7 +244,7 @@ def solve_dgb_xp(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH
         budget=instance.budget,
         agent_prices=dict(instance.agent_prices),
     )
-    dual_verdict = solve_cgb_xp(dual, search)
+    dual_verdict = _cgb_xp(dual, search)
     if dual_verdict.answer != "YES":
         return NO_VERDICT
     rows = {a: [-v for v in cells] for a, cells in dual_verdict.witness.rows}
@@ -264,7 +254,7 @@ def solve_dgb_xp(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH
     return Verdict("YES", witness=witness)
 
 
-def solve_gcdi_22(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH) -> Verdict:
+def _gcdi_22(instance: AttackInstance, search: SearchBudget) -> Verdict:
     """Deletion control under consent(2,2) via forced deletions.
 
     A self-disqualifying constructive target tolerates no other
@@ -272,16 +262,6 @@ def solve_gcdi_22(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARC
     other qualifier; those deletions are forced, and any further deletion
     can only hurt the remaining conditions.
     """
-    rule = instance.rule
-    if instance.family != "GCDI":
-        raise PreconditionViolated("this algorithm handles GCDI only")
-    if instance.objective == "exact":
-        raise PreconditionViolated("deleting problems have no exact variant")
-    if rule.variant != "consent" or rule.s != 2 or rule.t != 2:
-        raise PreconditionViolated("this algorithm needs the consent rule with s=t=2")
-    early = preflight(instance)
-    if early is not None:
-        return early
     p = instance.profile
     eff_plus, eff_minus = effective_targets(instance)
     forced = set()
@@ -301,7 +281,7 @@ def solve_gcdi_22(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARC
     return NO_VERDICT
 
 
-def solve_cgcai_r1(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH) -> Verdict:
+def _cgcai_r1(instance: AttackInstance, search: SearchBudget) -> Verdict:
     """Constructive adding control on single-choice profiles, s>=2.
 
     Every addition spends its one qualification on a chosen target and
@@ -309,15 +289,6 @@ def solve_cgcai_r1(instance: AttackInstance, search: SearchBudget = DEFAULT_SEAR
     with a global cap keeping self-disqualifying targets under quota t.
     """
     rule = instance.rule
-    if instance.family != "GCAI" or instance.objective != "constructive":
-        raise PreconditionViolated("this algorithm handles constructive GCAI only")
-    if rule.variant != "consent" or rule.s < 2:
-        raise PreconditionViolated("this algorithm needs a consent rule with s>=2")
-    if instance.r_restriction != 1:
-        raise PreconditionViolated("this algorithm needs a single-choice (r=1) profile")
-    early = preflight(instance)
-    if early is not None:
-        return early
     p = instance.profile
     pool_mask = profiles.mask_of(instance.pool)
     chosen = []
@@ -411,21 +382,13 @@ def _columnwise_flip_cost(instance: AttackInstance, a: int, qualify: bool):
     return min(options, key=lambda o: o[0])
 
 
-def solve_microbribery_consent(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH) -> Verdict:
+def _microbribery_consent(instance: AttackInstance, search: SearchBudget) -> Verdict:
     """Microbribery for column-local rules by per-target minimum cost.
 
     An individual's status under consent or ternary rules depends only on
     its own incoming column, so the cheapest flip sets for distinct targets
     are disjoint and their costs add up.
     """
-    rule = instance.rule
-    if instance.family != "GMB":
-        raise PreconditionViolated("this algorithm handles GMB only")
-    if rule.variant not in ("consent", "ternary"):
-        raise PreconditionViolated("sequential rules are out of scope for columnwise microbribery")
-    early = preflight(instance)
-    if early is not None:
-        return early
     eff_plus, eff_minus = effective_targets(instance)
     total = 0
     flips = {}
@@ -560,26 +523,18 @@ def solve_ilp_model(model: IlpModel, node_limit: int | None = None):
     return dfs(0, 0)
 
 
-def solve_fpt_ilp(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH,
-                  beta_cap: int = 4096) -> Verdict:
+FPT_BETA_CAP = 4096  # opinion signatures fpt_ilp will group before refusing
+
+
+def _fpt_ilp(instance: AttackInstance, search: SearchBudget) -> Verdict:
     """Adding/deleting control for consent rules via grouped counting.
 
     Individuals outside the targets are interchangeable within the same
     signature of opinions about the targets, so only group counts matter.
     """
-    rule = instance.rule
-    if instance.family not in ("GCAI", "GCDI"):
-        raise PreconditionViolated("this algorithm handles GCAI and GCDI only")
-    if instance.family == "GCDI" and instance.objective == "exact":
-        raise PreconditionViolated("deleting problems have no exact variant")
-    if rule.variant != "consent":
-        raise PreconditionViolated("this algorithm needs a consent rule")
-    early = preflight(instance)
-    if early is not None:
-        return early
     model = build_ilp_model(instance)
-    if len(model.betas) > beta_cap:
-        raise InstanceTooLarge("%d opinion signatures exceed cap %d" % (len(model.betas), beta_cap))
+    if len(model.betas) > FPT_BETA_CAP:
+        raise InstanceTooLarge("%d opinion signatures exceed cap %d" % (len(model.betas), FPT_BETA_CAP))
     assignment = solve_ilp_model(model, node_limit=search.node_limit)
     if assignment is None:
         return NO_VERDICT
@@ -592,35 +547,98 @@ def solve_fpt_ilp(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARC
     return Verdict("YES", witness=witness)
 
 
-def _specialized_for(instance: AttackInstance):
-    rule = instance.rule
-    family = instance.family
-    objective = instance.objective
-    if family == "GB" and rule.variant == "consent":
-        if objective == "constructive" and rule.t == 1:
-            return "cgb_xp", solve_cgb_xp
-        if objective == "destructive" and rule.s == 1:
-            return "dgb_xp", solve_dgb_xp
-    if (family == "GCDI" and rule.variant == "consent" and rule.s == 2 and rule.t == 2
-            and objective != "exact"):
-        return "gcdi_22", solve_gcdi_22
-    if (family == "GCAI" and objective == "constructive" and rule.variant == "consent"
-            and rule.s >= 2 and instance.r_restriction == 1):
-        return "cgcai_r1", solve_cgcai_r1
-    if family == "GMB" and rule.variant in ("consent", "ternary"):
-        return "microbribery_consent", solve_microbribery_consent
-    if (family in ("GCAI", "GCDI") and rule.variant == "consent"
-            and not (family == "GCDI" and instance.objective == "exact")):
-        return "fpt_ilp", solve_fpt_ilp
-    return None
+@dataclass(frozen=True)
+class SolverSpec:
+    """A specialized algorithm and the domain its theorem covers.
+
+    `requires` holds (predicate, refusal message) pairs, checked in order;
+    `run(instance, search)` is the algorithm alone, for instances inside the
+    domain that passed preflight.  Calling a spec is a named solve: refusal
+    first, then preflight, then the algorithm.
+    """
+
+    name: str
+    requires: tuple
+    run: Callable[[AttackInstance, SearchBudget], Verdict]
+
+    def refusal(self, instance: AttackInstance) -> str | None:
+        return next((message for holds, message in self.requires if not holds(instance)), None)
+
+    def __call__(self, instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH) -> Verdict:
+        refusal = self.refusal(instance)
+        if refusal is not None:
+            raise PreconditionViolated(refusal)
+        early = preflight(instance)
+        if early is not None:
+            return early
+        return self.run(instance, search)
 
 
-def _brute_for(instance: AttackInstance):
-    if instance.family in ("GCAI", "GCDI", "GCPI"):
-        return "control_brute", solve_control_brute
-    if instance.family == "GB":
-        return "bribery_brute", solve_bribery_brute
-    return "microbribery_brute", solve_microbribery_brute
+_NO_EXACT_DELETION = (lambda i: not (i.family == "GCDI" and i.objective == "exact"),
+                      "deleting problems have no exact variant")
+
+# In dispatch order: solve_auto runs the first spec whose domain holds.
+SOLVERS = (
+    SolverSpec("cgb_xp", (
+        (lambda i: i.family == "GB" and i.objective == "constructive",
+         "this algorithm handles constructive GB only"),
+        (lambda i: i.rule.variant == "consent" and i.rule.t == 1,
+         "this algorithm needs a consent rule with t=1"),
+    ), _cgb_xp),
+    SolverSpec("dgb_xp", (
+        (lambda i: i.family == "GB" and i.objective == "destructive",
+         "this algorithm handles destructive GB only"),
+        (lambda i: i.rule.variant == "consent" and i.rule.s == 1,
+         "this algorithm needs a consent rule with s=1"),
+    ), _dgb_xp),
+    SolverSpec("gcdi_22", (
+        (lambda i: i.family == "GCDI", "this algorithm handles GCDI only"),
+        _NO_EXACT_DELETION,
+        (lambda i: i.rule.variant == "consent" and i.rule.s == 2 and i.rule.t == 2,
+         "this algorithm needs the consent rule with s=t=2"),
+    ), _gcdi_22),
+    SolverSpec("cgcai_r1", (
+        (lambda i: i.family == "GCAI" and i.objective == "constructive",
+         "this algorithm handles constructive GCAI only"),
+        (lambda i: i.rule.variant == "consent" and i.rule.s >= 2,
+         "this algorithm needs a consent rule with s>=2"),
+        (lambda i: i.r_restriction == 1, "this algorithm needs a single-choice (r=1) profile"),
+    ), _cgcai_r1),
+    SolverSpec("microbribery_consent", (
+        (lambda i: i.family == "GMB", "this algorithm handles GMB only"),
+        (lambda i: i.rule.variant in ("consent", "ternary"),
+         "sequential rules are out of scope for columnwise microbribery"),
+    ), _microbribery_consent),
+    SolverSpec("fpt_ilp", (
+        (lambda i: i.family in ("GCAI", "GCDI"), "this algorithm handles GCAI and GCDI only"),
+        _NO_EXACT_DELETION,
+        (lambda i: i.rule.variant == "consent", "this algorithm needs a consent rule"),
+    ), _fpt_ilp),
+)
+(solve_cgb_xp, solve_dgb_xp, solve_gcdi_22, solve_cgcai_r1,
+ solve_microbribery_consent, solve_fpt_ilp) = SOLVERS
+
+# The oracles skip preflight, also when called by name.
+ORACLES = {
+    "control_brute": solve_control_brute,
+    "bribery_brute": solve_bribery_brute,
+    "microbribery_brute": solve_microbribery_brute,
+}
+ORACLE_FOR_FAMILY = {"GCAI": "control_brute", "GCDI": "control_brute", "GCPI": "control_brute",
+                     "GB": "bribery_brute", "GMB": "microbribery_brute"}
+BY_NAME = {spec.name: spec for spec in SOLVERS} | ORACLES
+
+
+def auto_solver(instance: AttackInstance):
+    """The (name, algorithm) solve_auto runs past preflight.
+
+    That is the first spec whose domain holds, else the family's oracle.
+    """
+    for spec in SOLVERS:
+        if spec.refusal(instance) is None:
+            return spec.name, spec.run
+    name = ORACLE_FOR_FAMILY[instance.family]
+    return name, ORACLES[name]
 
 
 def solve_auto(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH):
@@ -634,9 +652,5 @@ def solve_auto(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH):
     if early is not None:
         name = "trivial" if early.answer == "YES" else "immunity"
         return early, name
-    special = _specialized_for(instance)
-    if special is not None:
-        name, fn = special
-        return fn(instance, search), name
-    name, fn = _brute_for(instance)
-    return fn(instance, search), name
+    name, run = auto_solver(instance)
+    return run(instance, search), name

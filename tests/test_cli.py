@@ -104,6 +104,23 @@ def test_eval_error_exits(capsys, ex1_path):
     assert code == 2 and "unknown individual" in err
 
 
+def test_non_ascii_profile_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "bad.gid"
+    path.write_bytes(EX1_TEXT.replace("a1", "a\xe9", 1).encode("latin-1"))
+    code, out, err = run(capsys, ["eval", str(path), "--rule", "csr"])
+    assert code == 2 and out == ""
+    assert err.startswith("error\tParseError\t") and "0xe9" in err
+
+
+def test_non_ascii_instance_is_parse_error(capsys, tmp_path):
+    (tmp_path / "immune_p.gid").write_text(IMMUNE_PROFILE)
+    inst = tmp_path / "bad.gidinst"
+    inst.write_bytes(IMMUNE_INSTANCE.replace("aminus", "aminus \xff").encode("latin-1"))
+    code, out, err = run(capsys, ["solve", str(inst)])
+    assert code == 2 and out == ""
+    assert err.startswith("error\tParseError\t") and "0xff" in err
+
+
 def test_rule_spec_parsing():
     assert parse_rule_spec("consent:2,1") == SocialRule.consent(2, 1)
     assert parse_rule_spec("ternary:2,*,2") == SocialRule.ternary(2, None, 2)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gidsolve import partial
 from gidsolve.errors import (
     IndexOutOfRange,
     InstanceTooLarge,
@@ -365,12 +366,13 @@ def test_r_pqi_general_matches_brute(seed):
         assert r_pqi_general(profile, subset, r, rule) == possible
 
 
-def test_r_pqi_general_guards():
+def test_r_pqi_general_guards(monkeypatch):
     profile = make_profile([[0, 0], [0, 0]], kind="partial")
     with pytest.raises(PreconditionViolated):
         r_pqi_general(profile, [0], 1, SocialRule.csr())
+    monkeypatch.setattr(partial, "R_PQI_BRANCH_CAP", 1)
     with pytest.raises(InstanceTooLarge):
-        r_pqi_general(profile, [0, 1], 1, consent(1, 1), branch_cap=1)
+        r_pqi_general(profile, [0, 1], 1, consent(1, 1))
 
 
 def test_r_nqi_goldens():

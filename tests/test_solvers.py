@@ -1,13 +1,18 @@
 """Specialized solver tests: goldens, immunity rows, and oracle sweeps."""
 
 import itertools
+import math
+import pathlib
 import random
+import re
 
 import pytest
 
-from gidsolve import profiles
+from gidsolve import profiles, solvers
 from gidsolve.errors import InstanceTooLarge, PreconditionViolated
+from gidsolve.generators import gen_rx3c_no, rx3c_to_cgb
 from gidsolve.instances import (
+    AttackInstance,
     Solution,
     check_witness,
     hard_violations,
@@ -22,6 +27,8 @@ from gidsolve.oracle import (
 )
 from gidsolve.solvers import (
     IMMUNITY_TABLE,
+    ORACLES,
+    SOLVERS,
     _columnwise_flip_cost,
     build_ilp_model,
     check_immunity,
@@ -340,6 +347,24 @@ def test_cgb_precondition_errors():
                                   aminus=(0,), budget=1)
     with pytest.raises(PreconditionViolated):
         solve_cgb_xp(bad_objective)
+
+
+def test_cgb_prices_only_affordable_subsets(monkeypatch):
+    # planted NO: every subset of at most `budget` extras gets tried
+    instance = rx3c_to_cgb(gen_rx3c_no(2, seed=1))
+    calls = []
+    cost = AttackInstance.cost_of_agents
+
+    def counting(self, agents):
+        calls.append(agents)
+        return cost(self, agents)
+
+    monkeypatch.setattr(AttackInstance, "cost_of_agents", counting)
+    assert solve_cgb_xp(instance).answer == "NO"
+    affordable = sum(math.comb(instance.profile.n, k) for k in range(instance.budget + 1))
+    # each affordable subset is priced once and once more by its witness
+    # check; add the forced set and preflight's empty witness
+    assert len(calls) <= 2 * affordable + 2
 
 
 def cgb_sweep_cases(count):
@@ -739,12 +764,13 @@ def test_fpt_ilp_precondition_errors():
         solve_fpt_ilp(wrong_family)
 
 
-def test_fpt_ilp_beta_cap():
+def test_fpt_ilp_beta_cap(monkeypatch):
     p = ex1()
     instance = make_instance(p, consent(2, 2), "GCDI", "constructive",
                              aplus=(4,), budget=2)
+    monkeypatch.setattr(solvers, "FPT_BETA_CAP", 1)
     with pytest.raises(InstanceTooLarge):
-        solve_fpt_ilp(instance, beta_cap=1)
+        solve_fpt_ilp(instance)
 
 
 def test_fpt_ilp_node_limit():
@@ -795,6 +821,54 @@ def test_auto_dispatch_r1_specialization():
     got, name = solve_auto(without_r)
     assert name == "fpt_ilp"
     assert got.answer == "YES"
+
+
+def test_preflight_runs_once_per_solve(monkeypatch):
+    p = ex1()
+    calls = []
+    original = solvers.preflight
+
+    def counting(instance):
+        calls.append(instance)
+        return original(instance)
+
+    monkeypatch.setattr(solvers, "preflight", counting)
+    expectations = [
+        (make_instance(p, consent(1, 2), "GB", "destructive",
+                       aminus=(0,), budget=1), "dgb_xp"),
+        (make_instance(p, consent(2, 3), "GCDI", "constructive",
+                       aplus=(4,), budget=2), "fpt_ilp"),
+        (make_instance(p, profiles.SocialRule.csr(), "GB", "constructive",
+                       aplus=(0,), budget=2), "bribery_brute"),
+    ]
+    for instance, want in expectations:
+        calls.clear()
+        _got, name = solve_auto(instance)
+        assert name == want
+        assert len(calls) == 1, want
+    calls.clear()
+    solve_dgb_xp(expectations[0][0])
+    assert len(calls) == 1
+
+
+def test_refusal_comes_before_preflight(monkeypatch):
+    # an invalid instance outside the domain is refused, not rejected
+    p = ex1()
+    instance = make_instance(p, consent(2, 2), "GB", "constructive",
+                             aplus=(1,), pool=(0, 1), budget=1)
+    assert hard_violations(validate(instance))
+    monkeypatch.setattr(solvers, "preflight", pytest.fail)
+    with pytest.raises(PreconditionViolated, match="consent rule with t=1"):
+        solve_cgb_xp(instance)
+
+
+def test_readme_solver_table_matches_registry():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("| solver | domain |", 1)[1].split("\n\n", 1)[0]
+    documented = set()
+    for line in table.splitlines()[2:]:
+        documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert documented == {spec.name for spec in SOLVERS} | set(ORACLES)
 
 
 def test_auto_trivial_name():
