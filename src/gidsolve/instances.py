@@ -219,7 +219,7 @@ def apply_solution(instance: AttackInstance, solution: Solution) -> frozenset:
         v = profiles.eval(rule, left, p) | profiles.eval(rule, right, p)
         return profiles.eval(rule, v, p)
     if solution.kind == "bribed":
-        rewritten = p.replace_rows({a: list(cells) for a, cells in solution.rows})
+        rewritten = p.replace_rows(dict(solution.rows))
         return profiles.eval(rule, None, rewritten)
     if solution.kind == "flipped":
         updates = {(a, b): v for a, b, v in solution.flips}

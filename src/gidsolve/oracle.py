@@ -33,7 +33,6 @@ from .profiles import Profile, SocialRule
 
 @dataclass(frozen=True)
 class SearchBudget:
-    max_subset_size: int | None = None
     node_limit: int | None = None
 
 
@@ -49,12 +48,6 @@ class _NodeCounter:
         self.count += 1
         if self.limit is not None and self.count > self.limit:
             raise InstanceTooLarge("candidate count exceeded node limit %d" % self.limit)
-
-
-def _subset_cap(search: SearchBudget, natural: int) -> int:
-    if search.max_subset_size is None:
-        return natural
-    return min(natural, search.max_subset_size)
 
 
 def solve_control_brute(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH) -> Verdict:
@@ -91,7 +84,7 @@ def solve_control_brute(instance: AttackInstance, search: SearchBudget = DEFAULT
     else:
         domain = sorted(frozenset(range(n)) - instance.targets())
         make = Solution.deleted
-    cap = _subset_cap(search, min(instance.budget, len(domain)))
+    cap = min(instance.budget, len(domain))
     for size in range(0, cap + 1):
         for members in itertools.combinations(domain, size):
             counter.tick()
@@ -180,7 +173,7 @@ def solve_bribery_brute(instance: AttackInstance, search: SearchBudget = DEFAULT
     n = instance.profile.n
     counter = _NodeCounter(search.node_limit)
     sequential = instance.rule.variant in ("csr", "lsr")
-    cap = _subset_cap(search, min(instance.budget, n))
+    cap = min(instance.budget, n)
     for size in range(0, cap + 1):
         for members in itertools.combinations(range(n), size):
             if instance.cost_of_agents(members) > instance.budget:
@@ -217,7 +210,7 @@ def solve_microbribery_brute(instance: AttackInstance, search: SearchBudget = DE
     p = instance.profile
     counter = _NodeCounter(search.node_limit)
     domain = _pair_domain(instance)
-    cap = _subset_cap(search, min(instance.budget, len(domain)))
+    cap = min(instance.budget, len(domain))
     for size in range(0, cap + 1):
         for pairs in itertools.combinations(domain, size):
             if instance.cost_of_pairs(pairs) > instance.budget:
@@ -264,41 +257,40 @@ def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = No
     wanted = frozenset(subset)
     for i in wanted:
         profile._check_index(i)
-    unknown_cells = profile.unknown_cells()
     if r is not None:
         per_row = _r_extension_rows(profile, r)
         total = _count_r_extensions(per_row)
         if search.node_limit is not None and total > search.node_limit:
             raise InstanceTooLarge("%d r-extensions exceed node limit %d" % (total, search.node_limit))
-        row_options = [list(itertools.combinations(unknown, need)) for unknown, need in per_row]
-        assignments = itertools.product(*row_options)
-
-        def fill(choice):
-            updates = {}
-            for a, plus_cells in enumerate(choice):
-                unknown, _need = per_row[a]
-                for b in unknown:
-                    updates[(a, b)] = 1 if b in plus_cells else -1
-            return updates
+        row_options = [
+            [profiles.mask_of(plus_cells) for plus_cells in itertools.combinations(unknown, need)]
+            for unknown, need in per_row
+        ]
+        completions = itertools.product(*row_options)
     else:
+        unknown_cells = profile.unknown_cells()
         if search.node_limit is not None and 2 ** len(unknown_cells) > search.node_limit:
             raise InstanceTooLarge(
                 "2^%d extensions exceed node limit %d" % (len(unknown_cells), search.node_limit)
             )
-        assignments = itertools.product((1, -1), repeat=len(unknown_cells))
 
-        def fill(choice):
-            return dict(zip(unknown_cells, choice))
+        def plus_masks(choice):
+            masks = [0] * profile.n
+            for (a, b), v in zip(unknown_cells, choice):
+                if v == 1:
+                    masks[a] |= 1 << b
+            return masks
 
+        completions = map(plus_masks, itertools.product((1, -1), repeat=len(unknown_cells)))
+
+    # each completion is one +1 mask per row, set on top of the known +1 bits
     possible = False
     necessary = True
-    grid_template = profile.rows()
-    names = profile.names
-    for choice in assignments:
-        rows = [list(row) for row in grid_template]
-        for (a, b), v in fill(choice).items():
-            rows[a][b] = v
-        extension = profiles.make_profile(rows, kind="binary", names=names)
+    all_known = (profiles.full_mask(profile.n),) * profile.n
+    for plus in completions:
+        row_pos = tuple(pos | extra for pos, extra in zip(profile.row_pos, plus))
+        extension = Profile(n=profile.n, kind="binary", names=profile.names,
+                            row_pos=row_pos, row_known=all_known)
         ok = wanted <= profiles.eval(rule, None, extension)
         possible = possible or ok
         necessary = necessary and ok

@@ -46,7 +46,7 @@ from .errors import (
     WrongKind,
 )
 from .oracle import DEFAULT_SEARCH, SearchBudget, pqi_nqi_brute
-from .profiles import UNKNOWN, Profile, SocialRule, eval, make_profile
+from .profiles import UNKNOWN, Profile, SocialRule, eval, full_mask, mask_of
 
 PQI = "PQI"
 NQI = "NQI"
@@ -179,54 +179,37 @@ def optimistic_extension(profile: Profile, subset, rule: SocialRule) -> Profile:
     """Completion resolving every unknown in favour of the queried set."""
     members = _check_query(profile, subset, rule)
     n = profile.n
-    rows = profile.rows()
-    if rule.variant in ("csr", "lsr"):
-        for row in rows:
-            for a in range(n):
-                if row[a] == UNKNOWN:
-                    row[a] = 1
-        return make_profile(rows, kind="binary", names=profile.names)
-    member_set = set(members)
-    for b in range(n):
-        for a in range(n):
-            if rows[b][a] == UNKNOWN:
-                rows[b][a] = 1 if a in member_set else -1
+    full = full_mask(n)
+    # an unknown (b, a) turns +1 for every a under csr/lsr, for members of the set otherwise
+    favoured = full if rule.variant in ("csr", "lsr") else mask_of(members)
+    pos = [rp | (~rk & favoured) for rp, rk in zip(profile.row_pos, profile.row_known)]
     if rule.variant == "ternary":
-        # no quota bound, so pick the winning diagonal value per member
+        # no quota bound, so pick the winning diagonal value per member:
+        # keep +1 unless only -1 qualifies a, by staying under the t quota
         for a in members:
             if profile.entry(a, a) != UNKNOWN:
                 continue
-            quals_off = sum(1 for b in range(n) if b != a and rows[b][a] == 1)
-            if quals_off + 1 >= rule.s:
-                rows[a][a] = 1
-            elif (n - 1 - quals_off) + 1 <= rule.t - 1:
-                rows[a][a] = -1
-            else:
-                rows[a][a] = 1
-    return make_profile(rows, kind="binary", names=profile.names)
+            quals_off = sum(pos[b] >> a & 1 for b in range(n) if b != a)
+            if quals_off + 1 < rule.s and (n - 1 - quals_off) + 1 <= rule.t - 1:
+                pos[a] &= ~(1 << a)
+    return Profile(n=n, kind="binary", names=profile.names, row_pos=tuple(pos), row_known=(full,) * n)
 
 
 def pessimistic_extension(profile: Profile, subset, rule: SocialRule) -> Profile:
     """Completion resolving every unknown against the queried set."""
     members = _check_query(profile, subset, rule)
     n = profile.n
-    rows = profile.rows()
-    for row in rows:
-        for a in range(n):
-            if row[a] == UNKNOWN:
-                row[a] = -1
+    pos = list(profile.row_pos)
     if rule.variant == "ternary":
+        # keep -1 unless only +1 disqualifies a, by missing the s quota
         for a in members:
             if profile.entry(a, a) != UNKNOWN:
                 continue
-            quals_off = sum(1 for b in range(n) if b != a and rows[b][a] == 1)
-            if (n - 1 - quals_off) + 1 >= rule.t:
-                rows[a][a] = -1
-            elif quals_off + 1 < rule.s:
-                rows[a][a] = 1
-            else:
-                rows[a][a] = -1
-    return make_profile(rows, kind="binary", names=profile.names)
+            quals_off = sum(pos[b] >> a & 1 for b in range(n) if b != a)
+            if (n - 1 - quals_off) + 1 < rule.t and quals_off + 1 < rule.s:
+                pos[a] |= 1 << a
+    return Profile(n=n, kind="binary", names=profile.names, row_pos=tuple(pos),
+                   row_known=(full_mask(n),) * n)
 
 
 def _plain_query_guards(profile: Profile, query: PartialQuery, mode: str):

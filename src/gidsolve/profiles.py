@@ -6,11 +6,16 @@ Three profile kinds share one representation: binary (+1/-1 everywhere),
 ternary (+1/-1/star on any entry), and partial (+1/-1/unset).  Each row is
 kept as a pair of bitmasks (positive mask, known mask); star and unset are
 both "known bit clear", told apart by the profile kind.
+
+Cell grids come in only from outside: make_profile, parse_profile and the
+generators.  Every derived profile (replace_rows, with_entries, negate, the
+canonical extensions, completion enumeration) is built from new row masks,
+and the column and diagonal views are computed in one place,
+Profile.__post_init__.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -68,22 +73,22 @@ class Profile:
 
     def __post_init__(self):
         n = self.n
+        full = full_mask(n)
         cpos = [0] * n
-        cknown = [0] * n
+        cknown = [full] * n
         dpos = 0
         dknown = 0
         for a in range(n):
             rp = self.row_pos[a]
             rk = self.row_known[a]
-            for b in bits(rp):
-                cpos[b] |= 1 << a
-            for b in bits(rk):
-                cknown[b] |= 1 << a
             bit = 1 << a
-            if rp & bit:
-                dpos |= bit
-            if rk & bit:
-                dknown |= bit
+            for b in bits(rp):
+                cpos[b] |= bit
+            # binary profiles have no unknown cells, so this loop is empty
+            for b in bits(full & ~rk):
+                cknown[b] &= ~bit
+            dpos |= rp & bit
+            dknown |= rk & bit
         object.__setattr__(self, "col_pos", tuple(cpos))
         object.__setattr__(self, "col_known", tuple(cknown))
         object.__setattr__(self, "diag_pos", dpos)
@@ -131,22 +136,32 @@ class Profile:
 
     def replace_rows(self, new_rows: dict[int, list[int]]) -> "Profile":
         """Return a copy with whole rows rewritten; kind is unchanged."""
-        rows = self.rows()
         for a, values in new_rows.items():
             self._check_index(a)
             if len(values) != self.n:
                 raise IndexOutOfRange("replacement row has %d cells, want %d" % (len(values), self.n))
-            rows[a] = list(values)
-        return make_profile(rows, kind=self.kind, names=self.names)
+        row_pos = list(self.row_pos)
+        row_known = list(self.row_known)
+        for a in sorted(new_rows):
+            row_pos[a], row_known[a] = _row_masks(enumerate(new_rows[a]), a, self.kind)
+        return Profile(n=self.n, kind=self.kind, names=self.names,
+                       row_pos=tuple(row_pos), row_known=tuple(row_known))
 
     def with_entries(self, updates: dict[tuple[int, int], int]) -> "Profile":
         """Return a copy with individual cells rewritten; kind is unchanged."""
-        rows = self.rows()
-        for (a, b), value in updates.items():
+        for a, b in updates:
             self._check_index(a)
             self._check_index(b)
-            rows[a][b] = value
-        return make_profile(rows, kind=self.kind, names=self.names)
+        row_pos = list(self.row_pos)
+        row_known = list(self.row_known)
+        # row-major order, so a bad value is reported at its lowest cell
+        for (a, b), value in sorted(updates.items()):
+            pos, known = _row_masks(((b, value),), a, self.kind)
+            keep = ~(1 << b)
+            row_pos[a] = (row_pos[a] & keep) | pos
+            row_known[a] = (row_known[a] & keep) | known
+        return Profile(n=self.n, kind=self.kind, names=self.names,
+                       row_pos=tuple(row_pos), row_known=tuple(row_known))
 
     def _check_index(self, i: int):
         if not 0 <= i < self.n:
@@ -171,22 +186,28 @@ def make_profile(rows, kind: str = "binary", names=None) -> Profile:
     for a, r in enumerate(rows):
         if len(r) != n:
             raise ParseError("row %d has %d cells, want %d" % (a, len(r), n))
-        rp = 0
-        rk = 0
-        for b, v in enumerate(r):
-            if v == PLUS:
-                rp |= 1 << b
-                rk |= 1 << b
-            elif v == MINUS:
-                rk |= 1 << b
-            elif v == UNKNOWN:
-                if kind == "binary":
-                    raise ParseError("binary profile cannot hold a star/unset cell")
-            else:
-                raise ParseError("bad cell value %r at (%d, %d)" % (v, a, b))
+        rp, rk = _row_masks(enumerate(r), a, kind)
         row_pos.append(rp)
         row_known.append(rk)
     return Profile(n=n, kind=kind, names=names, row_pos=tuple(row_pos), row_known=tuple(row_known))
+
+
+def _row_masks(cells, a: int, kind: str) -> tuple[int, int]:
+    """Validate (column, value) cells of row a; return their (positive, known) masks."""
+    rp = 0
+    rk = 0
+    for b, v in cells:
+        if v == PLUS:
+            rp |= 1 << b
+            rk |= 1 << b
+        elif v == MINUS:
+            rk |= 1 << b
+        elif v == UNKNOWN:
+            if kind == "binary":
+                raise ParseError("binary profile cannot hold a star/unset cell")
+        else:
+            raise ParseError("bad cell value %r at (%d, %d)" % (v, a, b))
+    return rp, rk
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .instances import (
 from .oracle import (
     DEFAULT_SEARCH,
     SearchBudget,
+    _NodeCounter,
     solve_bribery_brute,
     solve_control_brute,
     solve_microbribery_brute,
@@ -216,10 +217,12 @@ def _cgb_xp(instance: AttackInstance, search: SearchBudget) -> Verdict:
     remaining = instance.budget - forced_cost
     pool = [b for b in range(n) if b not in forced_set]
     cap = min(rule.s, len(pool), remaining)
+    counter = _NodeCounter(search.node_limit)
     for size in range(0, cap + 1):
         for extra in itertools.combinations(pool, size):
             if instance.cost_of_agents(extra) > remaining:
                 continue
+            counter.tick()
             witness = Solution.bribed(_all_plus_rows(instance, forced + list(extra)))
             if check_witness(instance, witness):
                 return Verdict("YES", witness=witness)

@@ -188,6 +188,17 @@ def test_solve_too_large_reports_refusal(capsys, tmp_path):
     assert "node limit" in pairs["refused"]
 
 
+def test_cgb_xp_honours_node_limit(capsys, tmp_path):
+    out_dir = str(tmp_path / "g")
+    run(capsys, ["gen", "cgb", "--out", out_dir, "--m", "2", "--seed", "1", "--no"])
+    code, out, _ = run(capsys, ["solve", out_dir + "/cgb_no_m2_s1.gidinst",
+                                "--limit-nodes", "3"])
+    pairs = dict(report_pairs(out))
+    assert code == 5
+    assert pairs["solver"] == "cgb_xp"
+    assert "node limit" in pairs["refused"]
+
+
 def test_solve_invalid_instance(capsys, tmp_path):
     (tmp_path / "p.gid").write_text(EX1_TEXT)
     bad = tmp_path / "bad.gidinst"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gidsolve import profiles
+from gidsolve import partial, profiles
 from gidsolve.errors import InstanceTooLarge, NoRExtension, PreconditionViolated, WrongKind
 from gidsolve.instances import Solution, check_witness, make_instance, validate
 from gidsolve.oracle import (
@@ -348,3 +348,36 @@ def test_pqi_nqi_node_limit():
     with pytest.raises(InstanceTooLarge):
         pqi_nqi_brute(p, (0,), SocialRule.consent(1, 1),
                       search=SearchBudget(node_limit=100))
+
+
+def test_derived_profiles_skip_make_profile(monkeypatch):
+    # witness checks, completions and extensions build profiles from row masks
+    calls = []
+    original = make_profile
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # patch the imported binding in partial too, so a direct import is counted
+    for module in (profiles, partial):
+        monkeypatch.setattr(module, "make_profile", counting, raising=False)
+    p = ex1()
+    unknowns = make_profile([[1, 0, -1], [0, 0, 1], [-1, 1, 0]], kind="partial")
+    one_each = make_profile([[0, 0, -1], [-1, 0, 0], [0, -1, 0]], kind="partial")
+    rule = SocialRule.ternary(2, None, 2)
+    runs = {
+        "bribery": lambda: solve_bribery_brute(make_instance(
+            p, SocialRule.consent(3, 1), "GB", "constructive", aplus=(3,), budget=1)),
+        "microbribery": lambda: solve_microbribery_brute(make_instance(
+            p, SocialRule.consent(3, 1), "GMB", "constructive", aplus=(3,), budget=1)),
+        "completions": lambda: pqi_nqi_brute(unknowns, (0, 1), SocialRule.consent(1, 1)),
+        "r-completions": lambda: pqi_nqi_brute(one_each, (0,), SocialRule.lsr(), r=1),
+        "optimistic": lambda: partial.optimistic_extension(unknowns, (0, 2), rule),
+        "pessimistic": lambda: partial.pessimistic_extension(unknowns, (0, 2), rule),
+    }
+    for name, run in runs.items():
+        result = run()
+        assert calls == [], name
+        if name in ("bribery", "microbribery"):
+            assert result.answer == "NO", name

@@ -425,6 +425,9 @@ def test_dgb_golden_bribes_target_itself():
     assert got.answer == "YES"
     assert got.witness.members == frozenset({0})
     assert got.witness.rows == ((0, (-1, -1, -1, -1, -1)),)
+    # the dual cgb search ticks the node counter once per candidate
+    with pytest.raises(InstanceTooLarge):
+        solve_dgb_xp(instance, SearchBudget(node_limit=0))
 
 
 def test_dgb_precondition_errors():
