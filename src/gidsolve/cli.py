@@ -179,6 +179,17 @@ def _error(exc):
     sys.stderr.write("error\t%s\t%s\n" % (type(exc).__name__, exc))
 
 
+def _node_limit(text: str) -> int:
+    """argparse type for --limit-nodes: an int, and as a count never below 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("node limit must be >= 0, got %d" % value)
+    return value
+
+
 def _search(args) -> SearchBudget:
     limit = getattr(args, "limit_nodes", None)
     return SearchBudget(node_limit=limit)
@@ -388,6 +399,12 @@ def cmd_xval(args, argv) -> int:
     sample = gen_random_profile(args.n, "ternary" if rule.variant == "ternary" else "binary",
                                 0.3 if rule.variant == "ternary" else 0.0, seed=0)
     ensure_applicable(rule, sample)
+    # n < 0 is refused above; the sampling scheme draws at least one target,
+    # and a GCAI exact pool of two or more
+    if args.n == 0 and args.objective in ("constructive", "destructive"):
+        raise ParseError("%s objectives need n >= 1" % args.objective)
+    if args.n < 2 and args.family == "GCAI" and args.objective == "exact":
+        raise ParseError("exact GCAI objectives need n >= 2")
     search = _search(args)
     rng = random.Random(args.seed)
     report = RunReport(_echo(argv))
@@ -444,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--solver", default="auto",
                    choices=("auto", "brute") + tuple(sorted(BY_NAME)))
-    p.add_argument("--limit-nodes", type=int, default=None)
+    p.add_argument("--limit-nodes", type=_node_limit, default=None)
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -455,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", required=True)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--xval", action="store_true")
-    p.add_argument("--limit-nodes", type=int, default=None)
+    p.add_argument("--limit-nodes", type=_node_limit, default=None)
     common(p)
     p.set_defaults(func=cmd_partial)
 
@@ -485,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit-nodes", type=int, default=None)
+    p.add_argument("--limit-nodes", type=_node_limit, default=None)
     common(p)
     p.set_defaults(func=cmd_xval)
 

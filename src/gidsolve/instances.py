@@ -181,19 +181,16 @@ class Verdict:
             raise PreconditionViolated("IMMUNE verdicts carry an immunity reference")
 
 
-YES = "YES"
 NO = "NO"
-IMMUNE = "IMMUNE"
 
 NO_VERDICT = Verdict(NO)
 
 
-def _objective_met(instance: AttackInstance, final: frozenset) -> bool:
-    if instance.objective == "constructive":
-        return instance.aplus <= final
-    if instance.objective == "destructive":
-        return not (instance.aminus & final)
-    return instance.aplus <= final and not (instance.aminus & final)
+def effective_targets(instance: AttackInstance) -> tuple[frozenset, frozenset]:
+    """Target sets after dropping the side the objective ignores."""
+    plus = instance.aplus if instance.objective != "destructive" else frozenset()
+    minus = instance.aminus if instance.objective != "constructive" else frozenset()
+    return plus, minus
 
 
 def start_subset(instance: AttackInstance) -> frozenset:
@@ -203,32 +200,12 @@ def start_subset(instance: AttackInstance) -> frozenset:
     return frozenset(range(instance.profile.n))
 
 
-def apply_solution(instance: AttackInstance, solution: Solution) -> frozenset:
-    """Apply a domain-checked solution and return the final qualified set."""
-    p = instance.profile
-    rule = instance.rule
-    if solution.kind == "added":
-        members = (instance.pool or frozenset()) | solution.members
-        return profiles.eval(rule, members, p)
-    if solution.kind == "deleted":
-        remaining = frozenset(range(p.n)) - solution.members
-        return profiles.eval(rule, remaining, p)
-    if solution.kind == "partition":
-        left = solution.members
-        right = frozenset(range(p.n)) - left
-        v = profiles.eval(rule, left, p) | profiles.eval(rule, right, p)
-        return profiles.eval(rule, v, p)
-    if solution.kind == "bribed":
-        rewritten = p.replace_rows(dict(solution.rows))
-        return profiles.eval(rule, None, rewritten)
-    if solution.kind == "flipped":
-        updates = {(a, b): v for a, b, v in solution.flips}
-        return profiles.eval(rule, None, p.with_entries(updates))
-    raise KindMismatch("unknown solution kind: %s" % solution.kind)
-
-
 def check_witness(instance: AttackInstance, solution: Solution) -> bool:
-    """Ground-truth witness check: domain, cost bound, and final evaluation."""
+    """Ground-truth witness check: domain, cost bound, and final evaluation.
+
+    Each kind's branch checks the witness against its domain and the budget,
+    then evaluates the rule on the population or profile the witness yields.
+    """
     if FAMILY_KIND.get(instance.family) != solution.kind:
         raise KindMismatch(
             "family %s expects a %s solution, got %s"
@@ -236,6 +213,7 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
         )
     p = instance.profile
     n = p.n
+    rule = instance.rule
 
     def check_range(indices):
         for i in indices:
@@ -248,14 +226,19 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
             raise WitnessOutOfDomain("added individuals must come from outside the pool")
         if len(solution.members) > instance.budget:
             return False
+        final = profiles.eval(rule, start_subset(instance) | solution.members, p)
     elif solution.kind == "deleted":
         check_range(solution.members)
         if solution.members & instance.targets():
             raise WitnessOutOfDomain("deleted individuals must avoid the target sets")
         if len(solution.members) > instance.budget:
             return False
+        final = profiles.eval(rule, frozenset(range(n)) - solution.members, p)
     elif solution.kind == "partition":
         check_range(solution.members)
+        left = solution.members
+        winners = profiles.eval(rule, left, p) | profiles.eval(rule, frozenset(range(n)) - left, p)
+        final = profiles.eval(rule, winners, p)
     elif solution.kind == "bribed":
         check_range(solution.members)
         for a, cells in solution.rows:
@@ -266,6 +249,7 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
                     raise WitnessOutOfDomain("bad replacement cell value %r" % (v,))
         if instance.cost_of_agents(solution.members) > instance.budget:
             return False
+        final = profiles.eval(rule, None, p.replace_rows(dict(solution.rows)))
     elif solution.kind == "flipped":
         seen = set()
         for a, b, v in solution.flips:
@@ -279,11 +263,11 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
                 raise WitnessOutOfDomain("flip does not change entry (%s, %s)" % (p.names[a], p.names[b]))
         if instance.cost_of_pairs(solution.flip_pairs()) > instance.budget:
             return False
+        final = profiles.eval(rule, None, p.with_entries({(a, b): v for a, b, v in solution.flips}))
     else:
         raise KindMismatch("unknown solution kind: %s" % solution.kind)
-
-    final = apply_solution(instance, solution)
-    return _objective_met(instance, final)
+    plus, minus = effective_targets(instance)
+    return plus <= final and not (minus & final)
 
 
 def validate(instance: AttackInstance) -> list[str]:

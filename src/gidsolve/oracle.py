@@ -2,7 +2,9 @@
 is validated against.
 
 Deliberately the dumbest correct thing: enumerate candidate witnesses in
-size-then-lexicographic order and let check_witness decide each one.  The
+size-then-lexicographic order and let check_witness decide each one.  Each
+oracle (and cgb_xp) only generates its candidates; _first_witness is the one
+loop that counts them as nodes against the limit and checks them.  The
 only cleverness allowed is cutting provably irrelevant degrees of freedom
 (canonical bribery rewrites for column-local rules, a fixed pivot for the
 symmetric partition question).
@@ -27,6 +29,7 @@ from .instances import (
     Solution,
     Verdict,
     check_witness,
+    effective_targets,
 )
 from .profiles import Profile, SocialRule
 
@@ -39,15 +42,20 @@ class SearchBudget:
 DEFAULT_SEARCH = SearchBudget()
 
 
-class _NodeCounter:
-    def __init__(self, limit):
-        self.limit = limit
-        self.count = 0
+def _subsets(domain, cap: int):
+    """Subsets of domain with at most cap members, in size-then-lexicographic order."""
+    return itertools.chain.from_iterable(itertools.combinations(domain, size) for size in range(cap + 1))
 
-    def tick(self):
-        self.count += 1
-        if self.limit is not None and self.count > self.limit:
-            raise InstanceTooLarge("candidate count exceeded node limit %d" % self.limit)
+
+def _first_witness(instance: AttackInstance, candidates, search: SearchBudget) -> Verdict:
+    """The one enumerate-and-check loop: each candidate counts one node against
+    the limit, and the first one check_witness accepts is the witness."""
+    for count, witness in enumerate(candidates, 1):
+        if search.node_limit is not None and count > search.node_limit:
+            raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
+        if check_witness(instance, witness):
+            return Verdict("YES", witness=witness)
+    return NO_VERDICT
 
 
 def solve_control_brute(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH) -> Verdict:
@@ -56,24 +64,12 @@ def solve_control_brute(instance: AttackInstance, search: SearchBudget = DEFAULT
     if family not in ("GCAI", "GCDI", "GCPI"):
         raise PreconditionViolated("control oracle handles GCAI/GCDI/GCPI, got %s" % family)
     n = instance.profile.n
-    counter = _NodeCounter(search.node_limit)
     if family == "GCPI":
-        make = Solution.partition
-        if n == 0:
-            counter.tick()
-            witness = make(())
-            if check_witness(instance, witness):
-                return Verdict("YES", witness=witness)
-            return NO_VERDICT
         # the partition question is symmetric in U vs N-U, so pin individual 0
-        rest = range(1, n)
-        for size in range(0, n):
-            for body in itertools.combinations(rest, size):
-                counter.tick()
-                witness = make((0,) + body)
-                if check_witness(instance, witness):
-                    return Verdict("YES", witness=witness)
-        return NO_VERDICT
+        # (n = 0 has the one empty partition)
+        pinned = (0,) if n else ()
+        candidates = (Solution.partition(pinned + body) for body in _subsets(range(1, n), max(n - 1, 0)))
+        return _first_witness(instance, candidates, search)
     if instance.budget is None:
         raise PreconditionViolated("%s instance needs a budget" % family)
     if family == "GCAI":
@@ -84,14 +80,8 @@ def solve_control_brute(instance: AttackInstance, search: SearchBudget = DEFAULT
     else:
         domain = sorted(frozenset(range(n)) - instance.targets())
         make = Solution.deleted
-    cap = min(instance.budget, len(domain))
-    for size in range(0, cap + 1):
-        for members in itertools.combinations(domain, size):
-            counter.tick()
-            witness = make(members)
-            if check_witness(instance, witness):
-                return Verdict("YES", witness=witness)
-    return NO_VERDICT
+    candidates = map(make, _subsets(domain, min(instance.budget, len(domain))))
+    return _first_witness(instance, candidates, search)
 
 
 def _closure_against(profile: Profile, seeds: frozenset, bribed: frozenset) -> int:
@@ -117,10 +107,8 @@ def _closure_against(profile: Profile, seeds: frozenset, bribed: frozenset) -> i
 def _sequential_rewrite(instance: AttackInstance, members) -> dict:
     """Best possible rewrite for csr/lsr bribery of the given set."""
     p = instance.profile
-    if instance.objective == "constructive":
-        bad = 0
-    else:
-        bad = _closure_against(p, instance.aminus, frozenset(members))
+    _plus, minus = effective_targets(instance)
+    bad = _closure_against(p, minus, frozenset(members))
     rows = {}
     for a in members:
         rows[a] = [-1 if bad & (1 << b) else 1 for b in range(p.n)]
@@ -135,12 +123,7 @@ def _column_local_rewrites(instance: AttackInstance, members):
     the diagonal is branched exhaustively.
     """
     p = instance.profile
-    targets_plus = instance.aplus
-    targets_minus = instance.aminus
-    if instance.objective == "constructive":
-        targets_minus = frozenset()
-    elif instance.objective == "destructive":
-        targets_plus = frozenset()
+    targets_plus, targets_minus = effective_targets(instance)
     branch_members = [a for a in members if a in targets_plus or a in targets_minus]
     choices = []
     for a in branch_members:
@@ -171,25 +154,18 @@ def solve_bribery_brute(instance: AttackInstance, search: SearchBudget = DEFAULT
     if instance.budget is None:
         raise PreconditionViolated("GB instance needs a budget")
     n = instance.profile.n
-    counter = _NodeCounter(search.node_limit)
     sequential = instance.rule.variant in ("csr", "lsr")
-    cap = min(instance.budget, n)
-    for size in range(0, cap + 1):
-        for members in itertools.combinations(range(n), size):
+
+    def candidates():
+        for members in _subsets(range(n), min(instance.budget, n)):
             if instance.cost_of_agents(members) > instance.budget:
                 continue
             if sequential and members:
-                counter.tick()
-                witness = Solution.bribed(_sequential_rewrite(instance, members))
-                if check_witness(instance, witness):
-                    return Verdict("YES", witness=witness)
-                continue
-            for rows in _column_local_rewrites(instance, members):
-                counter.tick()
-                witness = Solution.bribed(rows)
-                if check_witness(instance, witness):
-                    return Verdict("YES", witness=witness)
-    return NO_VERDICT
+                yield Solution.bribed(_sequential_rewrite(instance, members))
+            else:
+                yield from map(Solution.bribed, _column_local_rewrites(instance, members))
+
+    return _first_witness(instance, candidates(), search)
 
 
 def _pair_domain(instance: AttackInstance) -> list:
@@ -208,22 +184,14 @@ def solve_microbribery_brute(instance: AttackInstance, search: SearchBudget = DE
     if instance.budget is None:
         raise PreconditionViolated("GMB instance needs a budget")
     p = instance.profile
-    counter = _NodeCounter(search.node_limit)
     domain = _pair_domain(instance)
-    cap = min(instance.budget, len(domain))
-    for size in range(0, cap + 1):
-        for pairs in itertools.combinations(domain, size):
-            if instance.cost_of_pairs(pairs) > instance.budget:
-                continue
-            value_choices = []
-            for a, b in pairs:
-                value_choices.append(tuple(v for v in (1, -1) if v != p.entry(a, b)))
-            for values in itertools.product(*value_choices):
-                counter.tick()
-                witness = Solution.flipped(dict(zip(pairs, values)))
-                if check_witness(instance, witness):
-                    return Verdict("YES", witness=witness)
-    return NO_VERDICT
+    candidates = (
+        Solution.flipped(dict(zip(pairs, values)))
+        for pairs in _subsets(domain, min(instance.budget, len(domain)))
+        if instance.cost_of_pairs(pairs) <= instance.budget
+        for values in itertools.product(*[[v for v in (1, -1) if v != p.entry(a, b)] for a, b in pairs])
+    )
+    return _first_witness(instance, candidates, search)
 
 
 def _r_extension_rows(profile: Profile, r: int):

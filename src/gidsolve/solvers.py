@@ -11,7 +11,6 @@ both automatic dispatch and named calls read.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ from .instances import (
     Solution,
     Verdict,
     check_witness,
+    effective_targets,
     hard_violations,
     make_instance,
     validate,
@@ -31,7 +31,8 @@ from .instances import (
 from .oracle import (
     DEFAULT_SEARCH,
     SearchBudget,
-    _NodeCounter,
+    _first_witness,
+    _subsets,
     solve_bribery_brute,
     solve_control_brute,
     solve_microbribery_brute,
@@ -143,13 +144,6 @@ IMMUNITY_TABLE = (
 )
 
 
-def effective_targets(instance: AttackInstance) -> tuple[frozenset, frozenset]:
-    """Target sets after dropping the side the objective ignores."""
-    plus = instance.aplus if instance.objective != "destructive" else frozenset()
-    minus = instance.aminus if instance.objective != "constructive" else frozenset()
-    return plus, minus
-
-
 def check_immunity(instance: AttackInstance) -> ImmunityVerdict:
     """Match the instance against the static immunity relation.
 
@@ -193,11 +187,6 @@ def preflight(instance: AttackInstance) -> Verdict | None:
     return None
 
 
-def _all_plus_rows(instance: AttackInstance, members) -> dict:
-    n = instance.profile.n
-    return {a: [1] * n for a in members}
-
-
 def _cgb_xp(instance: AttackInstance, search: SearchBudget) -> Verdict:
     """Constructive consent bribery with t=1.
 
@@ -216,17 +205,13 @@ def _cgb_xp(instance: AttackInstance, search: SearchBudget) -> Verdict:
         return NO_VERDICT
     remaining = instance.budget - forced_cost
     pool = [b for b in range(n) if b not in forced_set]
-    cap = min(rule.s, len(pool), remaining)
-    counter = _NodeCounter(search.node_limit)
-    for size in range(0, cap + 1):
-        for extra in itertools.combinations(pool, size):
-            if instance.cost_of_agents(extra) > remaining:
-                continue
-            counter.tick()
-            witness = Solution.bribed(_all_plus_rows(instance, forced + list(extra)))
-            if check_witness(instance, witness):
-                return Verdict("YES", witness=witness)
-    return NO_VERDICT
+    all_plus = [1] * n
+    candidates = (
+        Solution.bribed({a: all_plus for a in forced + list(extra)})
+        for extra in _subsets(pool, min(rule.s, len(pool), remaining))
+        if instance.cost_of_agents(extra) <= remaining
+    )
+    return _first_witness(instance, candidates, search)
 
 
 def _dgb_xp(instance: AttackInstance, search: SearchBudget) -> Verdict:

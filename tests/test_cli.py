@@ -199,6 +199,21 @@ def test_cgb_xp_honours_node_limit(capsys, tmp_path):
     assert "node limit" in pairs["refused"]
 
 
+def test_negative_node_limit_is_config_error(capsys, tmp_path):
+    out_dir = str(tmp_path / "g")
+    run(capsys, ["gen", "cgb", "--out", out_dir, "--m", "2", "--seed", "1", "--no"])
+    code, out, err = run(capsys, ["solve", out_dir + "/cgb_no_m2_s1.gidinst",
+                                  "--limit-nodes", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "node limit must be >= 0" in err
+    profile = tmp_path / "p.gid"
+    profile.write_text(PARTIAL_TEXT)
+    for argv in (["partial", str(profile), "--rule", "csr", "--mode", "pqi", "--subset", "a1"],
+                 ["xval", "--family", "GB", "--rule", "csr", "--n", "3"]):
+        assert run(capsys, argv + ["--limit-nodes", "-1"])[0] == 2
+
+
 def test_solve_invalid_instance(capsys, tmp_path):
     (tmp_path / "p.gid").write_text(EX1_TEXT)
     bad = tmp_path / "bad.gidinst"
@@ -417,6 +432,25 @@ def test_xval_more_families(capsys):
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert dict(report_pairs(out))["agreement"] == "true"
+
+
+def test_xval_small_n_exits_cleanly(capsys):
+    # every family, objective and rule at tiny n ends in a documented exit
+    # code; the sampling scheme needs a target (and a GCAI exact pool of two)
+    for family in ("GB", "GMB", "GCAI", "GCDI", "GCPI"):
+        for objective in ("constructive", "destructive", "exact", "general"):
+            for rule in ("consent:1,1", "csr", "lsr", "ternary:1,*,1"):
+                for n in (0, 1, 2):
+                    code, _, err = run(capsys, ["xval", "--family", family, "--objective", objective,
+                                                "--rule", rule, "--n", str(n), "--count", "3"])
+                    if objective == "general" or (family, objective) == ("GCAI", "exact"):
+                        needs = 2
+                    else:
+                        needs = 0 if objective == "exact" else 1
+                    if n < needs:
+                        assert code == 2 and "ParseError" in err, (family, objective, rule, n)
+                    else:
+                        assert code == 0, (family, objective, rule, n)
 
 
 def test_digest_instance_independent_of_names(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from gidsolve import partial, profiles
 from gidsolve.errors import InstanceTooLarge, NoRExtension, PreconditionViolated, WrongKind
+from gidsolve.generators import gen_rx3c_no, rx3c_to_cgb
 from gidsolve.instances import Solution, check_witness, make_instance, validate
 from gidsolve.oracle import (
     SearchBudget,
@@ -14,6 +15,7 @@ from gidsolve.oracle import (
     solve_microbribery_brute,
 )
 from gidsolve.profiles import SocialRule, make_profile, negate
+from gidsolve.solvers import solve_cgb_xp
 
 from helpers import ex1
 
@@ -276,6 +278,29 @@ def test_node_limit_enforced():
     with pytest.raises(InstanceTooLarge):
         solve_control_brute(inst, SearchBudget(node_limit=0))
     assert solve_control_brute(inst, SearchBudget(node_limit=10 ** 6)).answer in ("YES", "NO")
+    # Fixed NO instances and the exact number of candidates each search
+    # checks: a limit of C answers NO, a limit of C - 1 refuses.
+    consent22 = SocialRule.consent(2, 2)
+    table = [
+        (solve_control_brute, make_instance(random_binary(6, 77), consent22, "GCAI", "constructive",
+                                            aplus=(0,), pool=(0, 1, 2), budget=2), 7),
+        (solve_control_brute, make_instance(random_binary(5, 87), consent22, "GCDI", "constructive",
+                                            aplus=(0,), budget=3), 15),
+        (solve_control_brute, make_instance(random_binary(5, 78), consent22, "GCPI", "general",
+                                            aplus=(0,), aminus=(1,)), 16),
+        (solve_bribery_brute, make_instance(random_binary(5, 81), consent22, "GB", "general",
+                                            aplus=(0,), aminus=(1,), budget=1), 8),
+        (solve_bribery_brute, make_instance(random_binary(5, 82), SocialRule.csr(), "GB", "general",
+                                            aplus=(0,), aminus=(1,), budget=2), 16),
+        (solve_microbribery_brute, make_instance(random_binary(4, 96), consent22, "GMB", "constructive",
+                                                 aplus=(0, 1), budget=2), 37),
+        (solve_cgb_xp, rx3c_to_cgb(gen_rx3c_no(2, seed=1)), 79),
+    ]
+    for solve, instance, candidates in table:
+        assert solve(instance, SearchBudget(node_limit=candidates)).answer == "NO"
+        refusal = "candidate count exceeded node limit %d" % (candidates - 1)
+        with pytest.raises(InstanceTooLarge, match=refusal):
+            solve(instance, SearchBudget(node_limit=candidates - 1))
 
 
 def test_family_preconditions():
