@@ -8,6 +8,8 @@ Commands:
   xval --family F --objective O --rule SPEC --n N --count C [--seed S]
   diag INSTANCE
 
+The argument parser is built once per process, on the first main call.
+
 Rule specs use colons and commas: consent:1,2  csr  lsr  ternary:2,*,2
 (the star selects the majority quota).
 
@@ -32,6 +34,7 @@ Exit codes are a total function of the outcome:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -179,15 +182,23 @@ def _error(exc):
     sys.stderr.write("error\t%s\t%s\n" % (type(exc).__name__, exc))
 
 
-def _node_limit(text: str) -> int:
-    """argparse type for --limit-nodes: an int, and as a count never below 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("node limit must be >= 0, got %d" % value)
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type for a count: an int, and never below low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("%s must be >= %d, got %d" % (what, low, value))
+        return value
+
+    return parse
+
+
+_node_limit = _int_at_least(0, "node limit")
+_xval_count = _int_at_least(1, "count")
 
 
 def _search(args) -> SearchBudget:
@@ -442,6 +453,7 @@ def cmd_xval(args, argv) -> int:
     return EXIT_YES if all_agree else EXIT_DISAGREE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gidsolve", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -500,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("constructive", "destructive", "exact", "general"))
     p.add_argument("--rule", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_xval_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit-nodes", type=_node_limit, default=None)
     common(p)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from . import profiles
 from .errors import (
     InstanceTooLarge,
+    InvalidR,
     NoRExtension,
     PreconditionViolated,
     WrongKind,
@@ -194,27 +195,22 @@ def solve_microbribery_brute(instance: AttackInstance, search: SearchBudget = DE
     return _first_witness(instance, candidates, search)
 
 
-def _r_extension_rows(profile: Profile, r: int):
-    """Per-row choices of which unknown entries become +1 in an r-extension."""
-    per_row = []
-    for a in range(profile.n):
-        known_plus = profile.row_pos[a].bit_count()
-        unknown = [b for b in range(profile.n) if profile.entry(a, b) == 0]
-        need = r - known_plus
-        if need < 0 or need > len(unknown):
+def row_needs(profile: Profile, r: int) -> list[int]:
+    """Per-row count of unknown cells that must turn +1 for exactly r +1 entries."""
+    if not isinstance(r, int) or r < 1:
+        raise InvalidR("r must be a positive integer, got %r" % (r,))
+    needs = []
+    for name, pos, known in zip(profile.names, profile.row_pos, profile.row_known):
+        plus = pos.bit_count()
+        unknown = profile.n - known.bit_count()
+        need = r - plus
+        if need < 0 or need > unknown:
             raise NoRExtension(
                 "row %s has %d fixed qualifications and %d unknowns, cannot reach r=%d"
-                % (profile.names[a], known_plus, len(unknown), r)
+                % (name, plus, unknown, r)
             )
-        per_row.append((unknown, need))
-    return per_row
-
-
-def _count_r_extensions(per_row) -> int:
-    total = 1
-    for unknown, need in per_row:
-        total *= math.comb(len(unknown), need)
-    return total
+        needs.append(need)
+    return needs
 
 
 def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = None,
@@ -226,8 +222,10 @@ def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = No
     for i in wanted:
         profile._check_index(i)
     if r is not None:
-        per_row = _r_extension_rows(profile, r)
-        total = _count_r_extensions(per_row)
+        full = profiles.full_mask(profile.n)
+        per_row = [(list(profiles.bits(full & ~known)), need)
+                   for known, need in zip(profile.row_known, row_needs(profile, r))]
+        total = math.prod(math.comb(len(unknown), need) for unknown, need in per_row)
         if search.node_limit is not None and total > search.node_limit:
             raise InstanceTooLarge("%d r-extensions exceed node limit %d" % (total, search.node_limit))
         row_options = [

@@ -40,12 +40,11 @@ from .errors import (
     IndexOutOfRange,
     InstanceTooLarge,
     InvalidR,
-    NoRExtension,
     ParseError,
     PreconditionViolated,
     WrongKind,
 )
-from .oracle import DEFAULT_SEARCH, SearchBudget, pqi_nqi_brute
+from .oracle import DEFAULT_SEARCH, SearchBudget, pqi_nqi_brute, row_needs
 from .profiles import UNKNOWN, Profile, SocialRule, eval, full_mask, mask_of
 
 PQI = "PQI"
@@ -233,23 +232,6 @@ def nqi(profile: Profile, query: PartialQuery, rule: SocialRule) -> bool:
     return query.subset <= eval(rule, None, ext)
 
 
-def _row_needs(profile: Profile, r: int) -> list[int]:
-    """Per-row count of unknowns that must turn +1 to reach exactly r."""
-    if not isinstance(r, int) or r < 1:
-        raise InvalidR("r must be a positive integer, got %r" % (r,))
-    needs = []
-    for a in range(profile.n):
-        plus = profile.row_pos[a].bit_count()
-        unknown = profile.n - profile.row_known[a].bit_count()
-        need = r - plus
-        if need < 0 or need > unknown:
-            raise NoRExtension(
-                "row %s cannot reach exactly %d positive entries" % (profile.names[a], r)
-            )
-        needs.append(need)
-    return needs
-
-
 def _unknown_counts(profile: Profile) -> list[int]:
     return [profile.n - profile.row_known[a].bit_count() for a in range(profile.n)]
 
@@ -297,7 +279,7 @@ def r_pqi_consent_flow(profile: Profile, subset, r: int, rule: SocialRule) -> bo
     if rule.variant != "consent" or rule.t != 1 or rule.s < 2:
         raise PreconditionViolated("flow solver handles consent rules with t = 1 and s >= 2")
     members = _check_query(profile, subset, rule)
-    needs = _row_needs(profile, r)
+    needs = row_needs(profile, r)
     forced_diags = set()
     for a in members:
         diag = profile.entry(a, a)
@@ -330,7 +312,7 @@ def r_pqi_general(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     if rule.variant != "consent":
         raise PreconditionViolated("the general r solver handles consent rules only")
     members = _check_query(profile, subset, rule)
-    base_needs = _row_needs(profile, r)
+    base_needs = row_needs(profile, r)
     star_diags = [a for a in members if profile.entry(a, a) == UNKNOWN]
     if 2 ** len(star_diags) > R_PQI_BRANCH_CAP:
         raise InstanceTooLarge(
@@ -382,7 +364,7 @@ def r_nqi(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     if rule.variant in ("csr", "lsr") and r != 1:
         raise PreconditionViolated("sequential rules are only solved directly for r = 1")
     members = _check_query(profile, subset, rule)
-    needs = _row_needs(profile, r)
+    needs = row_needs(profile, r)
     unknowns = _unknown_counts(profile)
 
     def forced_plus(b: int, a: int) -> bool:

@@ -7,11 +7,12 @@ ternary (+1/-1/star on any entry), and partial (+1/-1/unset).  Each row is
 kept as a pair of bitmasks (positive mask, known mask); star and unset are
 both "known bit clear", told apart by the profile kind.
 
-Cell grids come in only from outside: make_profile, parse_profile and the
-generators.  Every derived profile (replace_rows, with_entries, negate, the
-canonical extensions, completion enumeration) is built from new row masks,
-and the column and diagonal views are computed in one place,
-Profile.__post_init__.
+Cell grids come in only through make_profile and the generators.
+parse_profile reads each row line of the text straight into its masks, and
+format_profile writes the text from them.  Every derived profile
+(replace_rows, with_entries, negate, the canonical extensions, completion
+enumeration) is built from new row masks, and the column and diagonal views
+are computed in one place, Profile.__post_init__.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ MINUS = -1
 UNKNOWN = 0
 
 KINDS = ("binary", "ternary", "partial")
-
-CELL_CHARS = {PLUS: "+", MINUS: "-"}
 
 
 def full_mask(n: int) -> int:
@@ -443,17 +442,12 @@ def qualification_graph(profile: Profile) -> Digraph:
     return Digraph(n=profile.n, names=profile.names, edges=tuple(edges))
 
 
-CHAR_CELLS = {
-    "+": PLUS,
-    "-": MINUS,
-}
-
-
 def parse_profile(text: str) -> Profile:
     """Parse the line-based v1 profile format.
 
     Cell characters: '+' and '-' everywhere, '*' for star (ternary only),
-    '?' for an unset cell (partial only).
+    '?' for an unset cell (partial only).  Each row line is read straight
+    into its (positive, known) masks.
     """
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
@@ -471,38 +465,43 @@ def parse_profile(text: str) -> Profile:
     if len(row_lines) != n:
         raise ParseError("expected %d row lines, got %d" % (n, len(row_lines)))
     names = []
-    grid = []
+    row_pos = []
+    row_known = []
     for line in row_lines:
         parts = line.split()
         if len(parts) != n + 2 or parts[0] != "row":
             raise ParseError("bad row line: %s" % line)
         names.append(parts[1])
-        cells = []
-        for ch in parts[2:]:
-            if ch in CHAR_CELLS:
-                cells.append(CHAR_CELLS[ch])
+        rp = 0
+        rk = 0
+        for b, ch in enumerate(parts[2:]):
+            if ch == "+":
+                rp |= 1 << b
+                rk |= 1 << b
+            elif ch == "-":
+                rk |= 1 << b
             elif ch == "*":
                 if kind != "ternary":
                     raise ParseError("'*' cell is only valid in a ternary profile")
-                cells.append(UNKNOWN)
             elif ch == "?":
                 if kind != "partial":
                     raise ParseError("'?' cell is only valid in a partial profile")
-                cells.append(UNKNOWN)
             else:
                 raise ParseError("bad cell character: %s" % ch)
-        grid.append(cells)
-    return make_profile(grid, kind=kind, names=names)
+        row_pos.append(rp)
+        row_known.append(rk)
+    if len(set(names)) != n:
+        raise ParseError("duplicate individual names")
+    return Profile(n=n, kind=kind, names=tuple(names), row_pos=tuple(row_pos), row_known=tuple(row_known))
 
 
 def format_profile(profile: Profile) -> str:
     unknown_char = "*" if profile.kind == "ternary" else "?"
+    column_bits = [1 << b for b in range(profile.n)]
     out = ["gid v1", "kind %s" % profile.kind, "n %d" % profile.n]
-    for a in range(profile.n):
-        cells = []
-        for v in profile.row(a):
-            cells.append(CELL_CHARS[v] if v != UNKNOWN else unknown_char)
-        out.append("row %s %s" % (profile.names[a], " ".join(cells)))
+    for name, rp, rk in zip(profile.names, profile.row_pos, profile.row_known):
+        cells = ["+" if rp & bit else "-" if rk & bit else unknown_char for bit in column_bits]
+        out.append("row %s %s" % (name, " ".join(cells)))
     return "\n".join(out) + "\n"
 
 

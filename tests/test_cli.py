@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gidsolve.cli import (
+    build_parser,
     digest_instance,
     main,
     parse_rule_spec,
@@ -324,6 +325,18 @@ def test_partial_r_flag(capsys, tmp_path):
     assert code in (0, 1)
 
 
+def test_partial_r_rows_share_one_message(capsys, tmp_path):
+    # the flow, r_nqi and enumeration routes refuse an infeasible row alike
+    path = tmp_path / "p.gid"
+    path.write_text(PARTIAL_TEXT)
+    expected = "error\tNoRExtension\trow a4 has 3 fixed qualifications and 1 unknowns, cannot reach r=2\n"
+    for rule, mode in (("consent:2,1", "pqi"), ("consent:2,2", "pqi"), ("consent:2,1", "nqi"),
+                       ("csr", "pqi"), ("lsr", "nqi")):
+        code, out, err = run(capsys, ["partial", str(path), "--rule", rule, "--mode", mode,
+                                      "--subset", "a3", "--r", "2"])
+        assert (code, out, err) == (3, "", expected), (rule, mode)
+
+
 # ------------------------------------------------------------- gen, diag
 
 
@@ -451,6 +464,65 @@ def test_xval_small_n_exits_cleanly(capsys):
                         assert code == 2 and "ParseError" in err, (family, objective, rule, n)
                     else:
                         assert code == 0, (family, objective, rule, n)
+
+
+def test_xval_count_below_one_is_config_error(capsys):
+    for count in ("0", "-1"):
+        code, out, err = run(capsys, ["xval", "--family", "GB", "--rule", "csr", "--n", "3",
+                                      "--count", count])
+        assert code == 2
+        assert out == ""
+        assert "count must be >= 1, got %s" % count in err
+    code, _, err = run(capsys, ["xval", "--family", "GB", "--rule", "csr", "--n", "3", "--count", "x"])
+    assert code == 2 and "invalid int value: 'x'" in err
+    code, out, _ = run(capsys, ["xval", "--family", "GB", "--rule", "csr", "--n", "3", "--count", "1"])
+    assert code == 0 and dict(report_pairs(out))["instances"] == "1"
+
+
+# ---------------------------------------------------------------- parser
+
+
+def _drop_timing(out):
+    return [line for line in out.splitlines() if not line.startswith("wall_ms")]
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, tmp_path, ex1_path):
+    assert build_parser() is build_parser()
+    out_dir = str(tmp_path / "g")
+    run(capsys, ["gen", "cgb", "--out", out_dir, "--m", "2", "--seed", "4"])
+    inst = out_dir + "/cgb_m2_s4.gidinst"
+    partial = tmp_path / "p.gid"
+    partial.write_text(PARTIAL_TEXT)
+    plain = {
+        "eval": ["eval", ex1_path, "--rule", "lsr"],
+        "solve": ["solve", inst],
+        "partial": ["partial", str(partial), "--rule", "consent:2,1", "--mode", "pqi", "--subset", "a3"],
+    }
+    flagged = {
+        "eval": plain["eval"] + ["--trace"],
+        "solve": plain["solve"] + ["--limit-nodes", "3", "--format", "json-lines"],
+        "partial": plain["partial"] + ["--r", "3"],
+    }
+    first = {name: run(capsys, argv) for name, argv in plain.items()}
+    for name, argv in flagged.items():
+        assert run(capsys, argv) != first[name], name
+    for name, argv in plain.items():
+        code, out, err = run(capsys, argv)
+        assert (code, err) == first[name][0::2], name
+        assert _drop_timing(out) == _drop_timing(first[name][1]), name
+    assert len(first["eval"][1].splitlines()) == 1
+    assert not first["solve"][1].startswith("{")
+    assert dict(report_pairs(first["partial"][1]))["solver"] == "pqi"
+    parser = build_parser()
+    assert parser.parse_args(plain["eval"]).trace is False
+    args = parser.parse_args(plain["solve"])
+    assert (args.limit_nodes, args.format, args.solver) == (None, "tsv", "auto")
+    assert parser.parse_args(plain["partial"]).r is None
+    # a bad flag between two good calls leaves the next call untouched
+    assert run(capsys, plain["eval"])[0] == 0
+    assert run(capsys, plain["eval"] + ["--bogus"])[0] == 2
+    assert run(capsys, ["solve", inst, "--limit-nodes", "-1"])[0] == 2
+    assert run(capsys, plain["eval"]) == first["eval"]
 
 
 def test_digest_instance_independent_of_names(tmp_path, capsys):

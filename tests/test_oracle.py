@@ -4,12 +4,13 @@ import random
 import pytest
 
 from gidsolve import partial, profiles
-from gidsolve.errors import InstanceTooLarge, NoRExtension, PreconditionViolated, WrongKind
+from gidsolve.errors import InstanceTooLarge, InvalidR, NoRExtension, PreconditionViolated, WrongKind
 from gidsolve.generators import gen_rx3c_no, rx3c_to_cgb
 from gidsolve.instances import Solution, check_witness, make_instance, validate
 from gidsolve.oracle import (
     SearchBudget,
     pqi_nqi_brute,
+    row_needs,
     solve_bribery_brute,
     solve_control_brute,
     solve_microbribery_brute,
@@ -359,6 +360,26 @@ def test_pqi_nqi_r_extension_missing():
     p = make_profile(rows, kind="partial")
     with pytest.raises(NoRExtension):
         pqi_nqi_brute(p, (0,), SocialRule.consent(1, 1), r=1)
+
+
+def test_row_needs_reads_row_masks(monkeypatch):
+    calls = []
+    original = profiles.Profile.entry
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(profiles.Profile, "entry", counting)
+    p = make_profile([[1, 0, -1], [0, 0, -1], [-1, 0, 1]], kind="partial")
+    assert row_needs(p, 2) == [1, 2, 1]
+    assert pqi_nqi_brute(p, (2,), SocialRule.lsr(), r=2) == (True, True)
+    assert calls == []
+    with pytest.raises(NoRExtension) as err:
+        row_needs(p, 3)
+    assert str(err.value) == "row a1 has 1 fixed qualifications and 1 unknowns, cannot reach r=3"
+    with pytest.raises(InvalidR):
+        row_needs(p, 0)
 
 
 def test_pqi_nqi_rejects_ternary():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gidsolve import profiles
+from gidsolve import generators, profiles
 from gidsolve.errors import (
     IndexOutOfRange,
     ParseError,
@@ -11,6 +11,7 @@ from gidsolve.errors import (
     QuotaConstraintViolated,
     RuleNotApplicable,
 )
+from gidsolve.instances import format_instance, parse_instance
 from gidsolve.profiles import (
     SocialRule,
     eval,
@@ -259,22 +260,93 @@ def test_parse_empty_profile():
     assert format_profile(p) == "gid v1\nkind binary\nn 0\n"
 
 
+MALFORMED_PROFILES = [
+    ("", "profile must start with 'gid v1'"),
+    ("gid v2\nkind binary\nn 0\n", "profile must start with 'gid v1'"),
+    ("gid v1\nkind binary\n", "profile is missing kind/n headers"),
+    ("gid v1\nkinds binary\nn 0\n", "expected 'kind <value>' header, got: kinds binary"),
+    ("gid v1\nkind\nn 0\n", "expected 'kind <value>' header, got: kind"),
+    ("gid v1\nkind wat\nn 0\n", "unknown profile kind: wat"),
+    ("gid v1\nkind binary\nsize 0\n", "expected 'n <value>' header, got: size 0"),
+    ("gid v1\nkind binary\nn x\n", "bad integer: x"),
+    ("gid v1\nkind binary\nn -1\n", "n must be non-negative"),
+    ("gid v1\nkind binary\nn 1\n", "expected 1 row lines, got 0"),
+    ("gid v1\nkind binary\nn 1\nrow a +\nrow b +\n", "expected 1 row lines, got 2"),
+    ("gid v1\nkind binary\nn 1\nrow a + +\n", "bad row line: row a + +"),
+    ("gid v1\nkind binary\nn 1\nraw a +\n", "bad row line: raw a +"),
+    ("gid v1\nkind binary\nn 1\nrow a\n", "bad row line: row a"),
+    ("gid v1\nkind binary\nn 1\nrow a x\n", "bad cell character: x"),
+    ("gid v1\nkind binary\nn 1\nrow a ++\n", "bad cell character: ++"),
+    ("gid v1\nkind binary\nn 1\nrow a 1\n", "bad cell character: 1"),
+    ("gid v1\nkind binary\nn 1\nrow a *\n", "'*' cell is only valid in a ternary profile"),
+    ("gid v1\nkind binary\nn 1\nrow a ?\n", "'?' cell is only valid in a partial profile"),
+    ("gid v1\nkind ternary\nn 1\nrow a ?\n", "'?' cell is only valid in a partial profile"),
+    ("gid v1\nkind partial\nn 1\nrow a *\n", "'*' cell is only valid in a ternary profile"),
+    ("gid v1\nkind binary\nn 2\nrow a + +\nrow a - -\n", "duplicate individual names"),
+    # faults are found header first, then line by line, cell by cell, then names
+    ("gid v1\nkind wat\nn 1\nrow a x\n", "unknown profile kind: wat"),
+    ("gid v1\nkind binary\nn 2\nrow a x x\n", "expected 2 row lines, got 1"),
+    ("gid v1\nkind binary\nn 2\nrow a + x\nrow b +\n", "bad cell character: x"),
+    ("gid v1\nkind binary\nn 2\nrow a + +\nrow b +\n", "bad row line: row b +"),
+    ("gid v1\nkind binary\nn 2\nrow a x *\nrow b + +\n", "bad cell character: x"),
+    ("gid v1\nkind binary\nn 2\nrow a * x\nrow b + +\n", "'*' cell is only valid in a ternary profile"),
+    ("gid v1\nkind binary\nn 2\nrow a + +\nrow a x +\n", "bad cell character: x"),
+]
+
+
 def test_parse_rejects_malformed():
-    bad = [
-        "gid v2\nkind binary\nn 0\n",
-        "gid v1\nkind wat\nn 0\n",
-        "gid v1\nkind binary\nn 1\n",
-        "gid v1\nkind binary\nn 1\nrow a + +\n",
-        "gid v1\nkind binary\nn 1\nrow a x\n",
-        "gid v1\nkind binary\nn 1\nrow a *\n",
-        "gid v1\nkind binary\nn 1\nrow a ?\n",
-        "gid v1\nkind ternary\nn 1\nrow a ?\n",
-        "gid v1\nkind partial\nn 1\nrow a *\n",
-        "gid v1\nkind binary\nn 2\nrow a + +\nrow a - -\n",
-    ]
-    for text in bad:
-        with pytest.raises(ParseError):
+    for text, message in MALFORMED_PROFILES:
+        with pytest.raises(ParseError) as err:
             parse_profile(text)
+        assert str(err.value) == message, text
+
+
+def _seeded_profiles():
+    rng = random.Random(6)
+    for n in (0, 1, 2, 5, 9, 16):
+        yield generators.gen_random_profile(n, "binary", seed=rng.randrange(1 << 30))
+        for kind in ("ternary", "partial"):
+            for density in (0.0, 0.3, 1.0):
+                yield generators.gen_random_profile(n, kind, density, seed=rng.randrange(1 << 30))
+        for r in range(1, n + 1, 3):
+            exact = generators.gen_random_r_profile(n, r, seed=rng.randrange(1 << 30))
+            yield exact
+            grid = exact.rows()
+            for a, b in rng.sample([(a, b) for a in range(n) for b in range(n)], n):
+                grid[a][b] = 0
+            names = ["v%d_%d" % (rng.randrange(100), i) for i in range(n)]
+            yield make_profile(grid, kind="partial", names=names)
+
+
+def test_parse_format_roundtrip_keeps_every_view():
+    checked = 0
+    for p in _seeded_profiles():
+        text = format_profile(p)
+        q = parse_profile(text)
+        assert q == p, text
+        assert q.names == p.names
+        assert (q.col_pos, q.col_known, q.diag_pos, q.diag_known) == (
+            p.col_pos, p.col_known, p.diag_pos, p.diag_known), text
+        assert format_profile(q) == text
+        checked += 1
+    assert checked == 68
+
+
+def test_parse_skips_make_profile(monkeypatch):
+    calls = []
+    original = make_profile
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "make_profile", counting)
+    text = format_profile(generators.gen_random_profile(6, "partial", 0.4, seed=3))
+    assert parse_profile(text).kind == "partial"
+    inst = generators.rx3c_to_cgb(generators.gen_rx3c(2, seed=1))
+    parsed = parse_instance(format_instance(inst, "p.gid"), lambda ref: format_profile(inst.profile))
+    assert parsed.profile == inst.profile
+    assert calls == []
 
 
 def test_parse_rule_tokens():
