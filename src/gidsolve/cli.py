@@ -198,7 +198,7 @@ def _int_at_least(low: int, what: str):
 
 
 _node_limit = _int_at_least(0, "node limit")
-_xval_count = _int_at_least(1, "count")
+_count = _int_at_least(1, "count")
 
 
 def _search(args) -> SearchBudget:
@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write generated profile/instance files")
     p.add_argument("what", choices=("profile", "r-profile", "cgb", "cgcai-r", "cgcdi"))
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--kind", choices=("binary", "ternary", "partial"), default="binary")
@@ -512,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("constructive", "destructive", "exact", "general"))
     p.add_argument("--rule", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=_xval_count, default=100)
+    p.add_argument("--count", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit-nodes", type=_node_limit, default=None)
     common(p)

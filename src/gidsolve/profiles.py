@@ -11,8 +11,13 @@ Cell grids come in only through make_profile and the generators.
 parse_profile reads each row line of the text straight into its masks, and
 format_profile writes the text from them.  Every derived profile
 (replace_rows, with_entries, negate, the canonical extensions, completion
-enumeration) is built from new row masks, and the column and diagonal views
-are computed in one place, Profile.__post_init__.
+enumeration) is built from new row masks.
+
+The rows are the only eager state.  Profile.__post_init__ computes the
+diagonal views in one pass; the column views col_pos/col_known are built by
+Profile._columns the first time a consent/ternary evaluation or a solver
+reads them, and kept.  csr and lsr read rows only: a member joins once an
+already qualified member approves them, so each round is an OR of rows.
 """
 
 from __future__ import annotations
@@ -64,34 +69,65 @@ class Profile:
     names: tuple[str, ...]
     row_pos: tuple[int, ...]
     row_known: tuple[int, ...]
-    # derived column/diagonal views, filled in by __post_init__
-    col_pos: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    col_known: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # diagonal views, built eagerly by __post_init__ in one pass over the rows
     diag_pos: int = field(init=False, compare=False, repr=False)
     diag_known: int = field(init=False, compare=False, repr=False)
+    # column views (col_pos, col_known), None until _columns first builds
+    # them; csr/lsr never read them
+    _col_views: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+        init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
-        n = self.n
-        full = full_mask(n)
-        cpos = [0] * n
-        cknown = [full] * n
         dpos = 0
         dknown = 0
-        for a in range(n):
-            rp = self.row_pos[a]
-            rk = self.row_known[a]
-            bit = 1 << a
-            for b in bits(rp):
-                cpos[b] |= bit
-            # binary profiles have no unknown cells, so this loop is empty
-            for b in bits(full & ~rk):
-                cknown[b] &= ~bit
+        bit = 1
+        for rp, rk in zip(self.row_pos, self.row_known):
             dpos |= rp & bit
             dknown |= rk & bit
-        object.__setattr__(self, "col_pos", tuple(cpos))
-        object.__setattr__(self, "col_known", tuple(cknown))
+            bit <<= 1
         object.__setattr__(self, "diag_pos", dpos)
         object.__setattr__(self, "diag_known", dknown)
+
+    def _columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Return (col_pos, col_known), transposing the rows on the first call.
+
+        The views are a pure function of the rows, so two racing first calls
+        only build the same tuples twice.
+        """
+        views = self._col_views
+        if views is None:
+            n = self.n
+            full = full_mask(n)
+            cpos = [0] * n
+            cknown = [full] * n
+            bit = 1
+            # bits() inlined: this transpose dominates a consent evaluation of
+            # a fresh profile
+            for rp, rk in zip(self.row_pos, self.row_known):
+                while rp:
+                    low = rp & -rp
+                    cpos[low.bit_length() - 1] |= bit
+                    rp ^= low
+                # binary profiles have no unknown cells, so this loop is empty
+                missing = full & ~rk
+                while missing:
+                    low = missing & -missing
+                    cknown[low.bit_length() - 1] &= ~bit
+                    missing ^= low
+                bit <<= 1
+            views = (tuple(cpos), tuple(cknown))
+            object.__setattr__(self, "_col_views", views)
+        return views
+
+    @property
+    def col_pos(self) -> tuple[int, ...]:
+        """col_pos[b]: mask of the individuals a with phi(a, b) = +1."""
+        return self._columns()[0]
+
+    @property
+    def col_known(self) -> tuple[int, ...]:
+        """col_known[b]: mask of the individuals a whose entry phi(a, b) is known."""
+        return self._columns()[1]
 
     def entry(self, a: int, b: int) -> int:
         """Return phi(a, b): +1, -1, or 0 for star/unset."""
@@ -349,14 +385,16 @@ def eval_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
 
 
 def _consent_mask(s: int, t: int, t_mask: int, profile: Profile) -> int:
+    col_pos, col_known = profile._columns()
+    diag_pos = profile.diag_pos
     result = 0
     for a in bits(t_mask):
-        quals = (profile.col_pos[a] & t_mask).bit_count()
-        if profile.diag_pos & (1 << a):
+        quals = (col_pos[a] & t_mask).bit_count()
+        if diag_pos & (1 << a):
             if quals >= s:
                 result |= 1 << a
         else:
-            disq = ((profile.col_known[a] & ~profile.col_pos[a]) & t_mask).bit_count()
+            disq = ((col_known[a] & ~col_pos[a]) & t_mask).bit_count()
             if disq < t:
                 result |= 1 << a
     return result
@@ -364,10 +402,11 @@ def _consent_mask(s: int, t: int, t_mask: int, profile: Profile) -> int:
 
 def _ternary_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
     s_prime = rule.effective_s_prime(profile.n)
+    col_pos, col_known = profile._columns()
     result = 0
     for a in bits(t_mask):
         bit = 1 << a
-        quals = (profile.col_pos[a] & t_mask).bit_count()
+        quals = (col_pos[a] & t_mask).bit_count()
         if not profile.diag_known & bit:
             # indifferent about themselves: plain quota over qualifiers in T
             if quals >= s_prime:
@@ -376,30 +415,38 @@ def _ternary_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
             if quals >= rule.s:
                 result |= bit
         else:
-            disq = ((profile.col_known[a] & ~profile.col_pos[a]) & t_mask).bit_count()
+            disq = ((col_known[a] & ~col_pos[a]) & t_mask).bit_count()
             if disq < rule.t:
                 result |= bit
     return result
 
 
 def _sequential_rounds(variant: str, t_mask: int, profile: Profile) -> list[int]:
+    """Synchronous csr/lsr rounds K0, K1, ... up to the fixed point, from rows only.
+
+    A member of T joins once some qualified member approves them, so each
+    round adds T & ~K & OR(row_pos[b] for b in K); only the rows of members
+    that joined in the last round are OR-ed in.
+    """
+    row_pos = profile.row_pos
     if variant == "csr":
-        k = 0
-        for a in bits(t_mask):
-            if profile.col_pos[a] & t_mask == t_mask:
-                k |= 1 << a
+        # the members everyone in T approves: the AND of the rows of T
+        k = t_mask
+        for b in bits(t_mask):
+            k &= row_pos[b]
     else:
         k = t_mask & profile.diag_pos
     rounds = [k]
+    joined = k
+    approved = 0
     while True:
-        grown = k
-        for a in bits(t_mask & ~k):
-            if profile.col_pos[a] & k:
-                grown |= 1 << a
-        if grown == k:
+        for b in bits(joined):
+            approved |= row_pos[b]
+        joined = approved & t_mask & ~k
+        if not joined:
             return rounds
-        rounds.append(grown)
-        k = grown
+        k |= joined
+        rounds.append(k)
 
 
 def eval(rule: SocialRule, subset, profile: Profile, want_trace: bool = False):

@@ -479,6 +479,22 @@ def test_xval_count_below_one_is_config_error(capsys):
     assert code == 0 and dict(report_pairs(out))["instances"] == "1"
 
 
+def test_gen_count_below_one_is_config_error(capsys, tmp_path):
+    out_dir = tmp_path / "g"
+    for count in ("0", "-1"):
+        code, out, err = run(capsys, ["gen", "profile", "--out", str(out_dir), "--count", count])
+        assert code == 2
+        assert out == ""
+        assert "count must be >= 1, got %s" % count in err
+    assert not out_dir.exists()
+    code, _, err = run(capsys, ["gen", "profile", "--out", str(out_dir), "--count", "x"])
+    assert code == 2 and "invalid int value: 'x'" in err
+    code, out, _ = run(capsys, ["gen", "profile", "--out", str(out_dir), "--count", "2", "--seed", "5"])
+    assert code == 0
+    assert [v for k, v in report_pairs(out) if k == "wrote"] == [
+        "profile_binary_n5_s5.gid", "profile_binary_n5_s6.gid"]
+
+
 # ---------------------------------------------------------------- parser
 
 

@@ -427,3 +427,38 @@ def test_derived_profiles_skip_make_profile(monkeypatch):
         assert calls == [], name
         if name in ("bribery", "microbribery"):
             assert result.answer == "NO", name
+
+
+def test_column_views_built_only_where_read(monkeypatch):
+    # csr/lsr read rows only; consent builds each profile's columns once
+    built = []
+    original = profiles.Profile._columns
+
+    def counting(self):
+        if self._col_views is None:
+            built.append(self)
+        return original(self)
+
+    monkeypatch.setattr(profiles.Profile, "_columns", counting)
+    partial_p = make_profile([[1, 0, -1], [0, 0, 1], [-1, 1, 0]], kind="partial")
+    one_each = make_profile([[0, 0, -1], [-1, 0, 0], [0, -1, 0]], kind="partial")
+    for rule in (SocialRule.csr(), SocialRule.lsr()):
+        runs = {
+            "bribery": lambda: solve_bribery_brute(make_instance(
+                random_binary(5, 82), rule, "GB", "general", aplus=(0,), aminus=(1,), budget=2)),
+            "microbribery": lambda: solve_microbribery_brute(make_instance(
+                random_binary(5, 81), rule, "GMB", "general", aplus=(0,), aminus=(1,), budget=1)),
+            "completions": lambda: pqi_nqi_brute(partial_p, (0, 1), rule),
+            "r-completions": lambda: pqi_nqi_brute(one_each, (0,), rule, r=1),
+            "eval": lambda: profiles.eval(rule, (0, 1, 3), random_binary(5, 3), want_trace=True),
+        }
+        for name, run in runs.items():
+            result = run()
+            assert built == [], (rule.variant, name)
+            if name in ("bribery", "microbribery"):
+                assert result.answer == "NO", (rule.variant, name)
+    p = random_binary(5, 3)
+    first = profiles.eval(SocialRule.consent(2, 1), None, p)
+    second = profiles.eval(SocialRule.consent(2, 1), None, p)
+    assert first == second
+    assert built == [p] and p.col_pos == original(p)[0]

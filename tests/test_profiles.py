@@ -200,6 +200,56 @@ def test_sequential_rules_reach_fixed_point():
                 assert all(p.entry(m, a) != 1 for m in result) or variant.variant == "never"
 
 
+def _sequential_reference(variant, t, p):
+    """csr/lsr rounds straight from the definition, over the columns phi(., a)."""
+    approvers = [{b for b in range(p.n) if p.entry(b, a) == 1} for a in range(p.n)]
+    if variant == "csr":
+        k = {a for a in t if t <= approvers[a]}
+    else:
+        k = {a for a in t if a in approvers[a]}
+    rounds = [frozenset(k)]
+    while True:
+        grown = k | {a for a in t if approvers[a] & k}
+        if grown == k:
+            return rounds
+        k = grown
+        rounds.append(frozenset(k))
+
+
+def _profile_from_bits(n, value):
+    full = (1 << n) - 1
+    rows = tuple((value >> (a * n)) & full for a in range(n))
+    return profiles.Profile(n=n, kind="binary", names=profiles.default_names(n),
+                            row_pos=rows, row_known=(full,) * n)
+
+
+def _assert_rows_match_reference(p, t):
+    for rule in (SocialRule.csr(), SocialRule.lsr()):
+        want = _sequential_reference(rule.variant, set(range(p.n) if t is None else t), p)
+        result, trace = eval(rule, t, p, want_trace=True)
+        assert trace.rounds == tuple(want), (rule.variant, p.row_pos, t)
+        assert result == want[-1]
+
+
+def test_sequential_rules_match_column_reference_exhaustively():
+    # every binary profile at n <= 3 (512 at n = 3), every subset T
+    for n in range(4):
+        for value in range(2 ** (n * n)):
+            p = _profile_from_bits(n, value)
+            for size in range(n + 1):
+                for t in itertools.combinations(range(n), size):
+                    _assert_rows_match_reference(p, t)
+
+
+def test_sequential_rules_match_column_reference_random():
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(4, 12)
+        p = _profile_from_bits(n, rng.getrandbits(n * n))
+        t = None if rng.random() < 0.25 else [a for a in range(n) if rng.random() < 0.7]
+        _assert_rows_match_reference(p, t)
+
+
 def test_lsr_contains_self_qualifiers():
     for seed in range(20):
         p = random_binary(5, seed)
