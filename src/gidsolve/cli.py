@@ -158,6 +158,9 @@ def _read(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError("%s: non-ASCII byte 0x%02x" % (path, exc.object[exc.start])) from None
+    except ValueError as exc:
+        # open() refuses a path with a NUL byte, which a profile reference can hold
+        raise ParseError("%r: %s" % (path, exc)) from None
 
 
 def _write(path: str, text: str):

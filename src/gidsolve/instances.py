@@ -8,7 +8,7 @@ exact, or general objective.  Prices default to 1 when no price map is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     IndexOutOfRange,
@@ -20,7 +20,15 @@ from .errors import (
     WitnessOutOfDomain,
 )
 from . import profiles
-from .profiles import Profile, SocialRule, ensure_applicable, parse_rule_tokens
+from .profiles import (
+    Profile,
+    SocialRule,
+    ensure_applicable,
+    eval_mask,
+    full_mask,
+    mask_of,
+    parse_rule_tokens,
+)
 
 FAMILIES = ("GCAI", "GCDI", "GCPI", "GB", "GMB")
 OBJECTIVES = ("constructive", "destructive", "exact", "general")
@@ -48,24 +56,29 @@ class AttackInstance:
     agent_prices: tuple = ()
     pair_prices: tuple = ()
     r_restriction: int | None = None
+    # price lookups built from agent_prices/pair_prices by __post_init__
+    # (dataclasses.replace rebuilds them); a key listed twice keeps its first
+    # price, as a scan of the tuple would
+    _agent_price_of: dict = field(init=False, compare=False, repr=False)
+    _pair_price_of: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_agent_price_of", dict(reversed(self.agent_prices)))
+        object.__setattr__(self, "_pair_price_of", dict(reversed(self.pair_prices)))
 
     def agent_price(self, a: int) -> int:
-        for agent, price in self.agent_prices:
-            if agent == a:
-                return price
-        return 1
+        return self._agent_price_of.get(a, 1)
 
     def pair_price(self, a: int, b: int) -> int:
-        for pair, price in self.pair_prices:
-            if pair == (a, b):
-                return price
-        return 1
+        return self._pair_price_of.get((a, b), 1)
 
     def cost_of_agents(self, agents) -> int:
-        return sum(self.agent_price(a) for a in agents)
+        price_of = self._agent_price_of
+        return sum(price_of.get(a, 1) for a in agents)
 
     def cost_of_pairs(self, pairs) -> int:
-        return sum(self.pair_price(a, b) for a, b in pairs)
+        price_of = self._pair_price_of
+        return sum(price_of.get((a, b), 1) for a, b in pairs)
 
     def targets(self) -> frozenset:
         return self.aplus | self.aminus
@@ -204,7 +217,12 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
     """Ground-truth witness check: domain, cost bound, and final evaluation.
 
     Each kind's branch checks the witness against its domain and the budget,
-    then evaluates the rule on the population or profile the witness yields.
+    and yields the population mask (and, for bribery and microbribery, the
+    derived profile) the witness leads to.  Only then is rule applicability
+    checked, once: derived profiles keep n and kind, so the one check covers
+    every evaluation, and an over-budget witness is False without it.  The
+    rule is evaluated on masks (eval_mask), and the targets are tested
+    against the final mask.
     """
     if FAMILY_KIND.get(instance.family) != solution.kind:
         raise KindMismatch(
@@ -213,7 +231,7 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
         )
     p = instance.profile
     n = p.n
-    rule = instance.rule
+    full = full_mask(n)
 
     def check_range(indices):
         for i in indices:
@@ -226,19 +244,17 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
             raise WitnessOutOfDomain("added individuals must come from outside the pool")
         if len(solution.members) > instance.budget:
             return False
-        final = profiles.eval(rule, start_subset(instance) | solution.members, p)
+        population = mask_of(start_subset(instance) | solution.members)
     elif solution.kind == "deleted":
         check_range(solution.members)
         if solution.members & instance.targets():
             raise WitnessOutOfDomain("deleted individuals must avoid the target sets")
         if len(solution.members) > instance.budget:
             return False
-        final = profiles.eval(rule, frozenset(range(n)) - solution.members, p)
+        population = full & ~mask_of(solution.members)
     elif solution.kind == "partition":
         check_range(solution.members)
-        left = solution.members
-        winners = profiles.eval(rule, left, p) | profiles.eval(rule, frozenset(range(n)) - left, p)
-        final = profiles.eval(rule, winners, p)
+        population = mask_of(solution.members)  # the left part U
     elif solution.kind == "bribed":
         check_range(solution.members)
         for a, cells in solution.rows:
@@ -249,7 +265,8 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
                     raise WitnessOutOfDomain("bad replacement cell value %r" % (v,))
         if instance.cost_of_agents(solution.members) > instance.budget:
             return False
-        final = profiles.eval(rule, None, p.replace_rows(dict(solution.rows)))
+        p = p.replace_rows(dict(solution.rows))
+        population = full
     elif solution.kind == "flipped":
         seen = set()
         for a, b, v in solution.flips:
@@ -263,11 +280,19 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
                 raise WitnessOutOfDomain("flip does not change entry (%s, %s)" % (p.names[a], p.names[b]))
         if instance.cost_of_pairs(solution.flip_pairs()) > instance.budget:
             return False
-        final = profiles.eval(rule, None, p.with_entries({(a, b): v for a, b, v in solution.flips}))
+        p = p.with_entries({(a, b): v for a, b, v in solution.flips})
+        population = full
     else:
         raise KindMismatch("unknown solution kind: %s" % solution.kind)
+    rule = instance.rule
+    # the one applicability check; eval_mask below relies on it
+    ensure_applicable(rule, p)
+    if solution.kind == "partition":
+        # the winners of both parts, V = f(U) | f(N - U), go to a final round
+        population = eval_mask(rule, population, p) | eval_mask(rule, full & ~population, p)
+    final = eval_mask(rule, population, p)
     plus, minus = effective_targets(instance)
-    return plus <= final and not (minus & final)
+    return not (mask_of(plus) & ~final) and not (mask_of(minus) & final)
 
 
 def validate(instance: AttackInstance) -> list[str]:

@@ -110,10 +110,9 @@ def _sequential_rewrite(instance: AttackInstance, members) -> dict:
     p = instance.profile
     _plus, minus = effective_targets(instance)
     bad = _closure_against(p, minus, frozenset(members))
-    rows = {}
-    for a in members:
-        rows[a] = [-1 if bad & (1 << b) else 1 for b in range(p.n)]
-    return rows
+    # every bribed member gets the same row: -1 exactly on the bad set
+    row = [-1 if bad & (1 << b) else 1 for b in range(p.n)]
+    return {a: row for a in members}
 
 
 def _column_local_rewrites(instance: AttackInstance, members):
@@ -252,12 +251,18 @@ def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = No
     # each completion is one +1 mask per row, set on top of the known +1 bits
     possible = False
     necessary = True
-    all_known = (profiles.full_mask(profile.n),) * profile.n
-    for plus in completions:
+    full = profiles.full_mask(profile.n)
+    wanted_mask = profiles.mask_of(wanted)
+    all_known = (full,) * profile.n
+    for count, plus in enumerate(completions):
         row_pos = tuple(pos | extra for pos, extra in zip(profile.row_pos, plus))
         extension = Profile(n=profile.n, kind="binary", names=profile.names,
                             row_pos=row_pos, row_known=all_known)
-        ok = wanted <= profiles.eval(rule, None, extension)
+        if not count:
+            # every extension is binary on the same n, so one applicability
+            # check covers them all; eval_mask relies on it
+            profiles.ensure_applicable(rule, extension)
+        ok = not wanted_mask & ~profiles.eval_mask(rule, full, extension)
         possible = possible or ok
         necessary = necessary and ok
         if possible and not necessary:

@@ -376,7 +376,11 @@ def subset_mask(subset, profile: Profile) -> int:
 
 
 def eval_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
-    """Mask-level evaluation core; assumes rule applicability was checked."""
+    """Mask-level evaluation core; assumes rule applicability was checked.
+
+    Callers run ensure_applicable once and may then evaluate any number of
+    masks and profiles of the same n and kind.
+    """
     if rule.variant == "consent":
         return _consent_mask(rule.s, rule.t, t_mask, profile)
     if rule.variant == "ternary":
@@ -388,15 +392,21 @@ def _consent_mask(s: int, t: int, t_mask: int, profile: Profile) -> int:
     col_pos, col_known = profile._columns()
     diag_pos = profile.diag_pos
     result = 0
-    for a in bits(t_mask):
+    # bits() inlined here and in the other evaluators: they run once per
+    # candidate witness in the oracles
+    rest = t_mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        a = bit.bit_length() - 1
         quals = (col_pos[a] & t_mask).bit_count()
-        if diag_pos & (1 << a):
+        if diag_pos & bit:
             if quals >= s:
-                result |= 1 << a
+                result |= bit
         else:
             disq = ((col_known[a] & ~col_pos[a]) & t_mask).bit_count()
             if disq < t:
-                result |= 1 << a
+                result |= bit
     return result
 
 
@@ -404,8 +414,11 @@ def _ternary_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
     s_prime = rule.effective_s_prime(profile.n)
     col_pos, col_known = profile._columns()
     result = 0
-    for a in bits(t_mask):
-        bit = 1 << a
+    rest = t_mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        a = bit.bit_length() - 1
         quals = (col_pos[a] & t_mask).bit_count()
         if not profile.diag_known & bit:
             # indifferent about themselves: plain quota over qualifiers in T
@@ -432,16 +445,21 @@ def _sequential_rounds(variant: str, t_mask: int, profile: Profile) -> list[int]
     if variant == "csr":
         # the members everyone in T approves: the AND of the rows of T
         k = t_mask
-        for b in bits(t_mask):
-            k &= row_pos[b]
+        rest = t_mask
+        while rest:
+            low = rest & -rest
+            k &= row_pos[low.bit_length() - 1]
+            rest ^= low
     else:
         k = t_mask & profile.diag_pos
     rounds = [k]
     joined = k
     approved = 0
     while True:
-        for b in bits(joined):
-            approved |= row_pos[b]
+        while joined:
+            low = joined & -joined
+            approved |= row_pos[low.bit_length() - 1]
+            joined ^= low
         joined = approved & t_mask & ~k
         if not joined:
             return rounds
@@ -455,6 +473,7 @@ def eval(rule: SocialRule, subset, profile: Profile, want_trace: bool = False):
     Returns the socially qualified set as a frozenset of indices; with
     want_trace=True (csr/lsr only) returns (set, EvalTrace).
     """
+    # the applicability check eval_mask and _sequential_rounds rely on
     ensure_applicable(rule, profile)
     t_mask = subset_mask(subset, profile)
     if rule.variant in ("csr", "lsr"):

@@ -1,6 +1,7 @@
 """Workbench commands: goldens, exit codes, and report formats."""
 
 import json
+import random
 
 import pytest
 
@@ -548,3 +549,101 @@ def test_digest_instance_independent_of_names(tmp_path, capsys):
     assert digest_instance(gen_planted_cgcdi()) != digest_instance(
         gen_planted_cgcdi(perturbed=True)
     )
+
+
+# ------------------------------------------------------------ parser fuzz
+
+TERNARY_TEXT = """gid v1
+kind ternary
+n 3
+row b1 + * -
+row b2 * - +
+row b3 - + *
+"""
+
+R2_TEXT = """gid v1
+kind binary
+n 3
+row c1 + + -
+row c2 - + +
+row c3 + - +
+"""
+
+# Each base instance ends with its problem line, so cutting the text
+# anywhere before its last character leaves it without a valid family.
+FUZZ_INSTANCES = [
+    "gidinst v1\nobjective general\nrule consent 2 1\nprofile ex1.gid\naplus a1\naminus a2 a3\n"
+    "budget 2\nagentprice a1 2\nagentprice a4 3\nproblem GB\n",
+    "gidinst v1\nobjective constructive\nrule csr\nprofile ex1.gid\naplus a1 a5\naminus\nbudget 3\n"
+    "pairprice a1 a2 2\npairprice a3 a1 1\nproblem GMB\n",
+    "gidinst v1\nobjective exact\nrule lsr\nprofile ex1.gid\npool a1 a2 a3\naplus a1\naminus a2 a3\n"
+    "budget 1\nproblem GCAI\n",
+    "gidinst v1\nobjective destructive\nrule consent 1 2\nprofile r2.gid\naplus\naminus c2\n"
+    "budget 1\nr 2\nproblem GCDI\n",
+    "gidinst v1\nobjective general\nrule ternary 2 * 2\nprofile t.gid\naplus b1\naminus b2\nproblem GCPI\n",
+]
+
+# Not valid at any position of either format: not a key, kind, integer,
+# cell, rule word or individual name.
+FUZZ_GARBAGE = ("@", "#x", "+-", "1.5", "--", "0x1", "?!", "\x7f", "\x00", "a\x00b")
+
+
+def _corruptions(text, kind):
+    """Every token of the text replaced by every garbage token in turn (a row
+    name by another row's name instead: any token is a valid name)."""
+    lines = text.splitlines()
+    names = [line.split(" ")[1] for line in lines if line.startswith("row ")]
+    for i, line in enumerate(lines):
+        tokens = line.split(" ")
+        for j, token in enumerate(tokens):
+            if kind == "gid" and tokens[0] == "row" and j == 1:
+                choices = [name for name in names if name != token]
+            else:
+                choices = FUZZ_GARBAGE
+            for garbage in choices:
+                changed = tokens[:j] + [garbage] + tokens[j + 1:]
+                yield "\n".join(lines[:i] + [" ".join(changed)] + lines[i + 1:]) + "\n"
+
+
+def _duplicate_or_cut(rng, text):
+    """A copy of one line put anywhere, or a cut before the last character."""
+    if rng.random() < 0.5:
+        return text[:rng.randint(0, len(text.rstrip()) - 1)]
+    lines = text.splitlines()
+    lines.insert(rng.randint(0, len(lines)), rng.choice(lines))
+    return "\n".join(lines) + "\n"
+
+
+def test_parser_fuzz_exits_cleanly(capsys, tmp_path):
+    # Every broken .gid or .gidinst file ends in exit 2 or 3 with an error
+    # line, never in a traceback.
+    rng = random.Random(606)
+    (tmp_path / "ex1.gid").write_text(EX1_TEXT)
+    (tmp_path / "t.gid").write_text(TERNARY_TEXT)
+    (tmp_path / "r2.gid").write_text(R2_TEXT)
+    base_inst = tmp_path / "base.gidinst"
+    for base in FUZZ_INSTANCES:
+        base_inst.write_text(base)
+        assert run(capsys, ["solve", str(base_inst)])[0] in (0, 1, 4)
+    bad_gid = str(tmp_path / "bad.gid")
+    bad_inst = str(tmp_path / "bad.gidinst")
+    (tmp_path / "via.gidinst").write_text(FUZZ_INSTANCES[4].replace("t.gid", "bad.gid"))
+    gid_commands = [
+        ["eval", bad_gid, "--rule", "consent:1,1"],
+        ["partial", bad_gid, "--rule", "consent:1,1", "--mode", "pqi", "--subset", "a1"],
+        ["solve", str(tmp_path / "via.gidinst")],  # the profile read through an instance
+    ]
+    inst_commands = [["solve", bad_inst], ["diag", bad_inst]]
+    cases = []
+    for base in (EX1_TEXT, PARTIAL_TEXT, TERNARY_TEXT, R2_TEXT):
+        cases += [(bad_gid, text, gid_commands[step % 3]) for step, text in enumerate(_corruptions(base, "gid"))]
+        cases += [(bad_gid, _duplicate_or_cut(rng, base), command) for _ in range(25) for command in gid_commands]
+    for base in FUZZ_INSTANCES:
+        cases += [(bad_inst, text, inst_commands[step % 2]) for step, text in enumerate(_corruptions(base, "gidinst"))]
+        cases += [(bad_inst, _duplicate_or_cut(rng, base), command) for _ in range(25) for command in inst_commands]
+    for path, text, argv in cases:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        code, _out, err = run(capsys, argv)
+        assert code in (2, 3), (argv, text)
+        assert err.startswith("error\t") and "Traceback" not in err, (argv, text, err)

@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import random
+
 import pytest
 
 from gidsolve.errors import (
@@ -5,9 +9,12 @@ from gidsolve.errors import (
     KindMismatch,
     ParseError,
     PreconditionViolated,
+    QuotaConstraintViolated,
+    RuleNotApplicable,
     WitnessOutOfDomain,
 )
 from gidsolve.instances import (
+    OBJECTIVES,
     Solution,
     Verdict,
     check_witness,
@@ -18,7 +25,7 @@ from gidsolve.instances import (
     parse_instance,
     validate,
 )
-from gidsolve.profiles import SocialRule, make_profile
+from gidsolve.profiles import Profile, SocialRule, default_names, make_profile
 
 from helpers import EX1_TEXT, ex1
 
@@ -369,3 +376,239 @@ def test_parse_rejects_malformed():
     for text in bad:
         with pytest.raises(ParseError):
             parse_instance(text, good_resolver)
+
+
+# -- check_witness against a frozenset reference ----------------------------
+
+def _reference_eval(rule, t, grid):
+    """Socially qualified members of T, from the rule definitions on a cell grid."""
+    n = len(grid)
+    if rule.variant in ("csr", "lsr"):
+        if rule.variant == "csr":
+            k = {a for a in t if all(grid[b][a] == 1 for b in t)}
+        else:
+            k = {a for a in t if grid[a][a] == 1}
+        while True:
+            grown = k | {a for a in t if any(grid[b][a] == 1 for b in k)}
+            if grown == k:
+                return frozenset(k)
+            k = grown
+    out = set()
+    for a in t:
+        column = [grid[b][a] for b in t]
+        if grid[a][a] == 1:
+            ok = column.count(1) >= rule.s
+        elif grid[a][a] == -1:
+            ok = column.count(-1) < rule.t
+        else:
+            ok = column.count(1) >= rule.effective_s_prime(n)
+        if ok:
+            out.add(a)
+    return frozenset(out)
+
+
+def _reference_check(inst, sol):
+    """The attack definitions on frozensets and a cell grid (in-domain witnesses)."""
+    p = inst.profile
+    everyone = frozenset(range(p.n))
+    grid = [[p.entry(a, b) for b in range(p.n)] for a in range(p.n)]
+    agent_price = dict(inst.agent_prices)
+    pair_price = dict(inst.pair_prices)
+    rule = inst.rule
+    if sol.kind == "added":
+        if len(sol.members) > inst.budget:
+            return False
+        final = _reference_eval(rule, inst.pool | sol.members, grid)
+    elif sol.kind == "deleted":
+        if len(sol.members) > inst.budget:
+            return False
+        final = _reference_eval(rule, everyone - sol.members, grid)
+    elif sol.kind == "partition":
+        winners = (_reference_eval(rule, sol.members, grid)
+                   | _reference_eval(rule, everyone - sol.members, grid))
+        final = _reference_eval(rule, winners, grid)
+    elif sol.kind == "bribed":
+        if sum(agent_price.get(a, 1) for a in sol.members) > inst.budget:
+            return False
+        for a, cells in sol.rows:
+            grid[a] = list(cells)
+        final = _reference_eval(rule, everyone, grid)
+    else:
+        if sum(pair_price.get((a, b), 1) for a, b, _v in sol.flips) > inst.budget:
+            return False
+        for a, b, v in sol.flips:
+            grid[a][b] = v
+        final = _reference_eval(rule, everyone, grid)
+    constructive_ok = inst.aplus <= final
+    destructive_ok = not (inst.aminus & final)
+    if inst.objective == "constructive":
+        return constructive_ok
+    if inst.objective == "destructive":
+        return destructive_ok
+    return constructive_ok and destructive_ok
+
+
+def _rules_for(n, kind):
+    if kind == "ternary":
+        return [SocialRule.ternary(s, sp, t) for s in (1, 2) for sp in (None, 1, 2) for t in (1, 2)]
+    consent = [SocialRule.consent(s, t) for s in range(1, n + 2) for t in range(1, n + 3 - s)]
+    return consent + [SocialRule.csr(), SocialRule.lsr(), SocialRule.ternary(2, None, 1)]
+
+
+def _random_case(rng, p, rule, family, objective):
+    """A random instance of the shape and one in-domain witness for it; the
+    budget may be too small for the witness."""
+    n = p.n
+    some = lambda domain: frozenset(x for x in domain if rng.random() < 0.5)
+    aplus = some(range(n))
+    aminus = some(x for x in range(n) if x not in aplus)
+    pool = some(range(n)) if family == "GCAI" else None
+    budget = None if family == "GCPI" else rng.randint(0, n + 1)
+    cells = (1, -1, 0) if p.kind == "ternary" else (1, -1)
+    agent_prices = {a: rng.randint(1, 3) for a in some(range(n))} if family == "GB" else None
+    pair_prices = ({(a, b): rng.randint(1, 3) for a in range(n) for b in range(n) if rng.random() < 0.3}
+                   if family == "GMB" else None)
+    inst = make_instance(p, rule, family, objective, aplus=aplus, aminus=aminus, pool=pool,
+                         budget=budget, agent_prices=agent_prices, pair_prices=pair_prices)
+    if family == "GCAI":
+        sol = Solution.added(some(x for x in range(n) if x not in pool))
+    elif family == "GCDI":
+        sol = Solution.deleted(some(x for x in range(n) if x not in aplus | aminus))
+    elif family == "GCPI":
+        sol = Solution.partition(some(range(n)))
+    elif family == "GB":
+        sol = Solution.bribed({a: [rng.choice(cells) for _ in range(n)] for a in some(range(n))})
+    else:
+        flips = {}
+        for a, b in itertools.product(range(n), repeat=2):
+            if rng.random() < 0.25:
+                flips[(a, b)] = rng.choice([v for v in (1, -1) if v != p.entry(a, b)])
+        sol = Solution.flipped(flips)
+    return inst, sol
+
+
+FAMILY_ORDER = ("GCAI", "GCDI", "GCPI", "GB", "GMB")
+
+
+def test_check_witness_matches_reference_exhaustively():
+    # every binary profile at n <= 3; each family x objective once per
+    # profile, the rule cycling through every valid consent (s, t), csr, lsr
+    # and ternary, with seeded targets and witness
+    rng = random.Random(8)
+    step = 0
+    for n in range(4):
+        rules = _rules_for(n, "binary")
+        full = (1 << n) - 1
+        for value in range(2 ** (n * n)):
+            p = Profile(n=n, kind="binary", names=default_names(n),
+                        row_pos=tuple((value >> (a * n)) & full for a in range(n)),
+                        row_known=(full,) * n)
+            for family, objective in itertools.product(FAMILY_ORDER, OBJECTIVES):
+                rule = rules[step % len(rules)]
+                step += 1
+                inst, sol = _random_case(rng, p, rule, family, objective)
+                assert check_witness(inst, sol) is _reference_check(inst, sol), (inst, sol)
+
+
+def test_check_witness_matches_reference_random():
+    rng = random.Random(88)
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        kind = rng.choice(("binary", "binary", "ternary"))
+        cells = (1, -1, 0) if kind == "ternary" else (1, -1)
+        p = make_profile([[rng.choice(cells) for _ in range(n)] for _ in range(n)], kind=kind)
+        rule = rng.choice(_rules_for(n, kind))
+        inst, sol = _random_case(rng, p, rule, rng.choice(FAMILY_ORDER), rng.choice(OBJECTIVES))
+        assert check_witness(inst, sol) is _reference_check(inst, sol), (inst, sol)
+
+
+def test_check_witness_error_order():
+    # KindMismatch, then the witness domain, then the budget, and only then
+    # rule applicability: an over-budget witness is False on any rule
+    binary = ex1()
+    ternary = make_profile([[1, 0, -1], [0, 1, 1], [-1, -1, 0]], kind="ternary")
+    too_big = SocialRule.consent(5, 3)  # s + t > n + 2 on ex1
+    on_ternary = SocialRule.consent(1, 1)
+    cases = [
+        (make_instance(binary, too_big, "GCDI", "constructive", aplus=(4,), budget=0),
+         Solution.deleted((0,)), False),
+        (make_instance(binary, too_big, "GCDI", "constructive", aplus=(4,), budget=1),
+         Solution.deleted((0,)), QuotaConstraintViolated),
+        (make_instance(binary, too_big, "GCDI", "constructive", aplus=(4,), budget=0),
+         Solution.deleted((4,)), WitnessOutOfDomain),
+        (make_instance(binary, too_big, "GCDI", "constructive", aplus=(4,), budget=0),
+         Solution.added((7,)), KindMismatch),
+        (make_instance(ternary, on_ternary, "GCAI", "constructive", aplus=(0,), pool=(0,), budget=0),
+         Solution.added((1,)), False),
+        (make_instance(ternary, on_ternary, "GCAI", "constructive", aplus=(0,), pool=(0,), budget=1),
+         Solution.added((1,)), RuleNotApplicable),
+        (make_instance(ternary, on_ternary, "GCAI", "constructive", aplus=(0,), pool=(0,), budget=0),
+         Solution.added((0,)), WitnessOutOfDomain),
+        (make_instance(ternary, on_ternary, "GCPI", "constructive", aplus=(0,)),
+         Solution.partition((0,)), RuleNotApplicable),
+        (make_instance(ternary, on_ternary, "GCPI", "constructive", aplus=(0,)),
+         Solution.partition((3,)), WitnessOutOfDomain),
+        (make_instance(binary, too_big, "GCPI", "constructive", aplus=(0,)),
+         Solution.partition((0, 1)), QuotaConstraintViolated),
+        (make_instance(ternary, on_ternary, "GB", "constructive", aplus=(0,), budget=2,
+                       agent_prices={1: 3}), Solution.bribed({1: [1, 0, 1]}), False),
+        (make_instance(ternary, on_ternary, "GB", "constructive", aplus=(0,), budget=3,
+                       agent_prices={1: 3}), Solution.bribed({1: [1, 0, 1]}), RuleNotApplicable),
+        (make_instance(ternary, on_ternary, "GB", "constructive", aplus=(0,), budget=0),
+         Solution.bribed({1: [1, 1]}), WitnessOutOfDomain),
+        (make_instance(ternary, on_ternary, "GB", "constructive", aplus=(0,), budget=0),
+         Solution.deleted((1,)), KindMismatch),
+        (make_instance(ternary, on_ternary, "GMB", "constructive", aplus=(0,), budget=0),
+         Solution.flipped({(0, 1): 1}), False),
+        (make_instance(ternary, on_ternary, "GMB", "constructive", aplus=(0,), budget=1),
+         Solution.flipped({(0, 1): 1}), RuleNotApplicable),
+        (make_instance(ternary, on_ternary, "GMB", "constructive", aplus=(0,), budget=0),
+         Solution.flipped({(0, 0): 1}), WitnessOutOfDomain),
+        (make_instance(binary, too_big, "GMB", "constructive", aplus=(0,), budget=1,
+                       pair_prices={(1, 0): 2}), Solution.flipped({(1, 0): 1}), False),
+    ]
+    for inst, sol, want in cases:
+        if isinstance(want, bool):
+            assert check_witness(inst, sol) is want, (inst.family, sol)
+        else:
+            with pytest.raises(want):
+                check_witness(inst, sol)
+
+
+# -- price lookups -----------------------------------------------------------
+
+def _scan_price(prices, key):
+    for k, price in prices:
+        if k == key:
+            return price
+    return 1
+
+
+def test_costs_match_linear_scan():
+    rng = random.Random(12)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        p = make_profile([[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)])
+        agents = {a: rng.randint(1, 5) for a in range(n) if rng.random() < 0.6}
+        pairs = {(a, b): rng.randint(1, 5) for a in range(n) for b in range(n) if rng.random() < 0.4}
+        gb = make_instance(p, SocialRule.csr(), "GB", "constructive", aplus=(0,), budget=2,
+                           agent_prices=agents)
+        gmb = make_instance(p, SocialRule.csr(), "GMB", "constructive", aplus=(0,), budget=2,
+                            pair_prices=pairs)
+        repriced = dataclasses.replace(gb, agent_prices=tuple((a, 7) for a in range(n) if rng.random() < 0.5))
+        for inst in (gb, gmb, repriced, dataclasses.replace(gmb, pair_prices=()),
+                     dataclasses.replace(gb, budget=5)):
+            for size in range(n + 1):
+                some = rng.sample(range(n), size)
+                assert inst.cost_of_agents(some) == sum(_scan_price(inst.agent_prices, a) for a in some)
+                some_pairs = rng.sample([(a, b) for a in range(n) for b in range(n)], size)
+                assert inst.cost_of_pairs(some_pairs) == sum(
+                    _scan_price(inst.pair_prices, pair) for pair in some_pairs)
+                for a, b in some_pairs:
+                    assert inst.agent_price(a) == _scan_price(inst.agent_prices, a)
+                    assert inst.pair_price(a, b) == _scan_price(inst.pair_prices, (a, b))
+    # a key listed twice keeps its first price, as the scan does
+    twice = make_instance(ex1(), SocialRule.csr(), "GB", "constructive", aplus=(0,), budget=2,
+                          agent_prices=[(1, 3), (1, 2)])
+    assert twice.agent_price(1) == 2 == _scan_price(twice.agent_prices, 1)
+    assert twice.cost_of_agents((0, 1)) == 3

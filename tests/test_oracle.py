@@ -462,3 +462,40 @@ def test_column_views_built_only_where_read(monkeypatch):
     second = profiles.eval(SocialRule.consent(2, 1), None, p)
     assert first == second
     assert built == [p] and p.col_pos == original(p)[0]
+
+
+def test_oracles_skip_public_eval(monkeypatch):
+    # check_witness and pqi_nqi_brute evaluate on masks, after one
+    # applicability check, so the public frozenset wrapper is never called
+    calls = []
+    original = profiles.eval
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "eval", counting)
+    consent22 = SocialRule.consent(2, 2)
+    partial_p = make_profile([[1, 0, -1], [0, 0, 1], [-1, 1, 0]], kind="partial")
+    one_each = make_profile([[0, 0, -1], [-1, 0, 0], [0, -1, 0]], kind="partial")
+    no_runs = {
+        "GCAI": lambda: solve_control_brute(make_instance(
+            random_binary(6, 77), consent22, "GCAI", "constructive", aplus=(0,), pool=(0, 1, 2), budget=2)),
+        "GCDI": lambda: solve_control_brute(make_instance(
+            random_binary(5, 87), consent22, "GCDI", "constructive", aplus=(0,), budget=3)),
+        "GCPI": lambda: solve_control_brute(make_instance(
+            random_binary(5, 78), consent22, "GCPI", "general", aplus=(0,), aminus=(1,))),
+        "bribery": lambda: solve_bribery_brute(make_instance(
+            random_binary(5, 81), consent22, "GB", "general", aplus=(0,), aminus=(1,), budget=1)),
+        "bribery-csr": lambda: solve_bribery_brute(make_instance(
+            random_binary(5, 82), SocialRule.csr(), "GB", "general", aplus=(0,), aminus=(1,), budget=2)),
+        "microbribery": lambda: solve_microbribery_brute(make_instance(
+            random_binary(4, 96), consent22, "GMB", "constructive", aplus=(0, 1), budget=2)),
+    }
+    for name, run in no_runs.items():
+        assert run().answer == "NO", name
+        assert calls == [], name
+    for rule in (SocialRule.consent(1, 1), SocialRule.lsr(), SocialRule.ternary(2, None, 1)):
+        assert pqi_nqi_brute(partial_p, (0, 1), rule) == (True, False), rule
+        pqi_nqi_brute(one_each, (0,), rule, r=1)
+        assert calls == [], rule

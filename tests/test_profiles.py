@@ -250,6 +250,50 @@ def test_sequential_rules_match_column_reference_random():
         _assert_rows_match_reference(p, t)
 
 
+def _quota_reference(rule, t, p):
+    """consent/ternary straight from the definition, over the columns phi(., a)."""
+    out = set()
+    for a in t:
+        column = [p.entry(b, a) for b in t]
+        own = p.entry(a, a)
+        if own == 1:
+            ok = column.count(1) >= rule.s
+        elif own == -1:
+            ok = column.count(-1) < rule.t
+        else:
+            ok = column.count(1) >= rule.effective_s_prime(p.n)
+        if ok:
+            out.add(a)
+    return frozenset(out)
+
+
+def test_quota_rules_match_column_reference_exhaustively():
+    # every binary profile at n <= 3, every subset T, every valid (s, t),
+    # each as consent and as ternary with the majority shorthand
+    for n in range(4):
+        rules = [make(s, t) for s in range(1, n + 2) for t in range(1, n + 3 - s)
+                 for make in (SocialRule.consent, lambda s, t: SocialRule.ternary(s, None, t))]
+        subsets = [frozenset(t) for size in range(n + 1) for t in itertools.combinations(range(n), size)]
+        for value in range(2 ** (n * n)):
+            p = _profile_from_bits(n, value)
+            for rule in rules:
+                for t in subsets:
+                    assert eval(rule, t, p) == _quota_reference(rule, t, p), (rule, p.row_pos, t)
+
+
+def test_ternary_rule_matches_column_reference_random():
+    rng = random.Random(2025)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        cells = [[rng.choice((1, 1, -1, -1, 0)) for _ in range(n)] for _ in range(n)]
+        p = make_profile(cells, kind="ternary")
+        s_prime = rng.choice([None] + list(range(1, n + 2)))
+        rule = SocialRule.ternary(rng.randint(1, n + 1), s_prime, rng.randint(1, n + 1))
+        t = None if rng.random() < 0.25 else [a for a in range(n) if rng.random() < 0.7]
+        want = _quota_reference(rule, frozenset(range(n)) if t is None else frozenset(t), p)
+        assert eval(rule, t, p) == want, (rule, cells, t)
+
+
 def test_lsr_contains_self_qualifiers():
     for seed in range(20):
         p = random_binary(5, seed)
