@@ -168,13 +168,25 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _load_instance(path: str):
+def _load_valid_instance(path: str):
+    """Load an instance file and validate it; (instance, violations).
+
+    Profile references resolve against the instance file's directory.  On a
+    hard violation the InvalidInstance error line is written and the
+    instance comes back as None.
+    """
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(ref):
         return _read(os.path.join(base, ref))
 
-    return parse_instance(_read(path), resolve)
+    instance = parse_instance(_read(path), resolve)
+    violations = validate(instance)
+    hard = hard_violations(violations)
+    if hard:
+        sys.stderr.write("error\tInvalidInstance\t%s\n" % " ".join(hard))
+        return None, violations
+    return instance, violations
 
 
 def _echo(argv) -> str:
@@ -233,11 +245,8 @@ def cmd_eval(args, argv) -> int:
 
 
 def cmd_solve(args, argv) -> int:
-    instance = _load_instance(args.instance)
-    violations = validate(instance)
-    hard = hard_violations(violations)
-    if hard:
-        sys.stderr.write("error\tInvalidInstance\t%s\n" % " ".join(hard))
+    instance, violations = _load_valid_instance(args.instance)
+    if instance is None:
         return EXIT_PARSE
     report = RunReport(_echo(argv))
     report.add("digest", digest_instance(instance))
@@ -298,7 +307,9 @@ def cmd_partial(args, argv) -> int:
 
 
 def cmd_diag(args, argv) -> int:
-    instance = _load_instance(args.instance)
+    instance, _violations = _load_valid_instance(args.instance)
+    if instance is None:
+        return EXIT_PARSE
     report = RunReport(_echo(argv))
     report.add("digest", digest_instance(instance))
     diag = diagnostics(instance)

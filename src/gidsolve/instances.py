@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
-    IndexOutOfRange,
     KindMismatch,
     ParseError,
     PreconditionViolated,
@@ -23,6 +22,8 @@ from . import profiles
 from .profiles import (
     Profile,
     SocialRule,
+    _index_mask,
+    _parse_int,
     ensure_applicable,
     eval_mask,
     full_mask,
@@ -106,9 +107,7 @@ def make_instance(
 
     def check_set(indices):
         out = frozenset(indices)
-        for i in out:
-            if not 0 <= i < n:
-                raise IndexOutOfRange("individual index %d out of range for n=%d" % (i, n))
+        _index_mask(out, n)
         return out
 
     aplus = check_set(aplus)
@@ -233,30 +232,24 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
     n = p.n
     full = full_mask(n)
 
-    def check_range(indices):
-        for i in indices:
-            if not 0 <= i < n:
-                raise WitnessOutOfDomain("individual index %d out of range for n=%d" % (i, n))
-
     if solution.kind == "added":
-        check_range(solution.members)
+        _index_mask(solution.members, n, WitnessOutOfDomain)
         if solution.members & (instance.pool or frozenset()):
             raise WitnessOutOfDomain("added individuals must come from outside the pool")
         if len(solution.members) > instance.budget:
             return False
         population = mask_of(start_subset(instance) | solution.members)
     elif solution.kind == "deleted":
-        check_range(solution.members)
+        deleted = _index_mask(solution.members, n, WitnessOutOfDomain)
         if solution.members & instance.targets():
             raise WitnessOutOfDomain("deleted individuals must avoid the target sets")
         if len(solution.members) > instance.budget:
             return False
-        population = full & ~mask_of(solution.members)
+        population = full & ~deleted
     elif solution.kind == "partition":
-        check_range(solution.members)
-        population = mask_of(solution.members)  # the left part U
+        population = _index_mask(solution.members, n, WitnessOutOfDomain)  # the left part U
     elif solution.kind == "bribed":
-        check_range(solution.members)
+        _index_mask(solution.members, n, WitnessOutOfDomain)
         for a, cells in solution.rows:
             if len(cells) != n:
                 raise WitnessOutOfDomain("replacement row for %s has %d cells, want %d" % (p.names[a], len(cells), n))
@@ -270,7 +263,7 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
     elif solution.kind == "flipped":
         seen = set()
         for a, b, v in solution.flips:
-            check_range((a, b))
+            _index_mask((a, b), n, WitnessOutOfDomain)
             if (a, b) in seen:
                 raise WitnessOutOfDomain("duplicate flip for pair (%s, %s)" % (p.names[a], p.names[b]))
             seen.add((a, b))
@@ -375,47 +368,34 @@ def diagnostics(instance: AttackInstance) -> InstanceDiagnostics:
 
     s* needs t=1 and every constructive target self-qualifying; t* needs s=1
     and every destructive target self-disqualifying.  A side whose
-    precondition fails (or whose target set is empty) reports None.
+    precondition fails (or whose target set is empty) reports None.  The t*
+    side is the s* side with the signs and the quotas swapped: by consent
+    duality it is the s* of the negated profile under consent(t, s).
     """
     rule = instance.rule
     if rule.variant != "consent":
         raise PreconditionViolated("diagnostics are defined for consent rules only")
     p = instance.profile
     per = []
-    s_star = None
-    t_star = None
-    plus_ok = (
-        rule.t == 1
-        and instance.aplus
-        and all(p.entry(a, a) == 1 for a in instance.aplus)
-    )
-    if plus_ok:
+
+    def side(targets, sign, own_quota, other_quota):
+        # agree: the column's entries of the target's own sign; against: the
+        # known entries of the other sign
+        if not (other_quota == 1 and targets and all(p.entry(a, a) == sign for a in targets)):
+            return None
         best = None
-        for a in sorted(instance.aplus):
-            quals = p.col_pos[a].bit_count()
-            disq = (p.col_known[a] & ~p.col_pos[a]).bit_count()
-            missing = max(0, rule.s - quals)
-            choices = disq
-            per.append((a, missing, choices))
-            value = choices - missing
+        for a in sorted(targets):
+            pos = p.col_pos[a].bit_count()
+            neg = (p.col_known[a] & ~p.col_pos[a]).bit_count()
+            agree, against = (pos, neg) if sign == 1 else (neg, pos)
+            missing = max(0, own_quota - agree)
+            per.append((a, missing, against))
+            value = against - missing
             best = value if best is None else max(best, value)
-        s_star = best
-    minus_ok = (
-        rule.s == 1
-        and instance.aminus
-        and all(p.entry(a, a) == -1 for a in instance.aminus)
-    )
-    if minus_ok:
-        best = None
-        for a in sorted(instance.aminus):
-            quals = p.col_pos[a].bit_count()
-            disq = (p.col_known[a] & ~p.col_pos[a]).bit_count()
-            missing = max(0, rule.t - disq)
-            choices = quals
-            per.append((a, missing, choices))
-            value = choices - missing
-            best = value if best is None else max(best, value)
-        t_star = best
+        return best
+
+    s_star = side(instance.aplus, 1, rule.s, rule.t)
+    t_star = side(instance.aminus, -1, rule.t, rule.s)
     return InstanceDiagnostics(s_star=s_star, t_star=t_star, per_individual=tuple(per))
 
 
@@ -480,13 +460,13 @@ def parse_instance(text: str, resolve_profile) -> AttackInstance:
     if budget_tokens is not None:
         if len(budget_tokens) != 1:
             raise ParseError("bad budget line")
-        budget = _int(budget_tokens[0])
+        budget = _parse_int(budget_tokens[0])
     r_tokens = take("r", required=False)
     r_restriction = None
     if r_tokens is not None:
         if len(r_tokens) != 1:
             raise ParseError("bad r line")
-        r_restriction = _int(r_tokens[0])
+        r_restriction = _parse_int(r_tokens[0])
     if single:
         raise ParseError("unknown key: %s" % sorted(single)[0])
     agent_prices = {}
@@ -496,7 +476,7 @@ def parse_instance(text: str, resolve_profile) -> AttackInstance:
         a = profile.index_of(tokens[0])
         if a in agent_prices:
             raise ParseError("duplicate agentprice for %s" % tokens[0])
-        agent_prices[a] = _int(tokens[1])
+        agent_prices[a] = _parse_int(tokens[1])
     pair_prices = {}
     for tokens in pair_price_lines:
         if len(tokens) != 3:
@@ -504,7 +484,7 @@ def parse_instance(text: str, resolve_profile) -> AttackInstance:
         pair = (profile.index_of(tokens[0]), profile.index_of(tokens[1]))
         if pair in pair_prices:
             raise ParseError("duplicate pairprice for %s %s" % (tokens[0], tokens[1]))
-        pair_prices[pair] = _int(tokens[2])
+        pair_prices[pair] = _parse_int(tokens[2])
     return make_instance(
         profile,
         rule,
@@ -546,10 +526,3 @@ def format_instance(instance: AttackInstance, profile_ref: str) -> str:
     if instance.r_restriction is not None:
         out.append("r %d" % instance.r_restriction)
     return "\n".join(out) + "\n"
-
-
-def _int(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError("bad integer: %s" % token) from None

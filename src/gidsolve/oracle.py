@@ -218,8 +218,7 @@ def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = No
     if profile.kind == "ternary":
         raise WrongKind("qualification queries work on partial (or binary) profiles")
     wanted = frozenset(subset)
-    for i in wanted:
-        profile._check_index(i)
+    profiles._index_mask(wanted, profile.n)
     if r is not None:
         full = profiles.full_mask(profile.n)
         per_row = [(list(profiles.bits(full & ~known)), need)

@@ -45,7 +45,7 @@ from .errors import (
     WrongKind,
 )
 from .oracle import DEFAULT_SEARCH, SearchBudget, pqi_nqi_brute, row_needs
-from .profiles import UNKNOWN, Profile, SocialRule, eval, full_mask, mask_of
+from .profiles import UNKNOWN, Profile, SocialRule, _index_mask, eval, full_mask, mask_of
 
 PQI = "PQI"
 NQI = "NQI"
@@ -165,9 +165,7 @@ def _check_query(profile: Profile, subset, rule: SocialRule) -> list[int]:
     if profile.kind == "ternary":
         raise WrongKind("qualification queries work on partial (or binary) profiles")
     members = sorted(set(subset))
-    for a in members:
-        if not 0 <= a < profile.n:
-            raise IndexOutOfRange("individual index %d out of range for n=%d" % (a, profile.n))
+    _index_mask(members, profile.n)
     if not members:
         raise PreconditionViolated("query set must be nonempty")
     rule.ensure_quota_bound(profile.n)
@@ -270,31 +268,16 @@ def _star_flow_value(profile: Profile, members: list[int], needs: list[int],
 def r_pqi_consent_flow(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     """Possible qualification under exactly-r rows, consent with t = 1.
 
-    With t = 1 a negative diagonal is hopeless and surplus +1 entries
-    never hurt, so the question is pure supply and demand: route each
-    row's mandatory +1 count onto unknown cells of S-columns until every
-    member's approval quota s is met.  Unknown diagonals are forced to
-    +1 and consume one unit of their own row's need up front.
+    This is r_pqi_general's all-+1 branch.  With t = 1 a negative
+    diagonal is hopeless and surplus +1 entries never hurt, so the
+    question is pure supply and demand: route each row's mandatory +1
+    count onto unknown cells of S-columns until every member's approval
+    quota s is met.  Unknown diagonals are forced to +1 and consume one
+    unit of their own row's need up front.
     """
     if rule.variant != "consent" or rule.t != 1 or rule.s < 2:
         raise PreconditionViolated("flow solver handles consent rules with t = 1 and s >= 2")
-    members = _check_query(profile, subset, rule)
-    needs = row_needs(profile, r)
-    forced_diags = set()
-    for a in members:
-        diag = profile.entry(a, a)
-        if diag == -1:
-            return False
-        if diag == UNKNOWN:
-            needs[a] -= 1
-            if needs[a] < 0:
-                return False
-            forced_diags.add(a)
-    demands = {}
-    for a in members:
-        quals = profile.col_pos[a].bit_count() + (1 if a in forced_diags else 0)
-        demands[a] = max(0, rule.s - quals)
-    return _star_flow_value(profile, members, needs, demands)
+    return _r_pqi_branches(profile, subset, r, rule, (1,))
 
 
 R_PQI_BRANCH_CAP = 4096  # diagonal branches r_pqi_general will try before refusing
@@ -311,40 +294,42 @@ def r_pqi_general(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     """
     if rule.variant != "consent":
         raise PreconditionViolated("the general r solver handles consent rules only")
+    return _r_pqi_branches(profile, subset, r, rule, (1, -1))
+
+
+def _r_pqi_branches(profile: Profile, subset, r: int, rule: SocialRule, values) -> bool:
+    """Try every resolution of the members' unknown diagonals to a value in values.
+
+    A branch is infeasible outright when a member's demand exceeds the
+    unknown off-diagonal cells of its column, or a forced +1 diagonal
+    overdraws its row; otherwise it is one flow feasibility check.
+    """
     members = _check_query(profile, subset, rule)
     base_needs = row_needs(profile, r)
     star_diags = [a for a in members if profile.entry(a, a) == UNKNOWN]
-    if 2 ** len(star_diags) > R_PQI_BRANCH_CAP:
-        raise InstanceTooLarge(
-            "%d diagonal branches exceed cap %d" % (2 ** len(star_diags), R_PQI_BRANCH_CAP)
-        )
-    for choice in itertools.product((1, -1), repeat=len(star_diags)):
+    branches = len(values) ** len(star_diags)
+    if branches > R_PQI_BRANCH_CAP:
+        raise InstanceTooLarge("%d diagonal branches exceed cap %d" % (branches, R_PQI_BRANCH_CAP))
+    for choice in itertools.product(values, repeat=len(star_diags)):
         resolved = dict(zip(star_diags, choice))
         needs = list(base_needs)
         demands = {}
-        feasible = True
         for a in members:
-            diag = profile.entry(a, a)
-            value = resolved[a] if diag == UNKNOWN else diag
-            if value == 1:
-                if diag == UNKNOWN:
-                    needs[a] -= 1
-                    if needs[a] < 0:
-                        feasible = False
-                        break
-                quals = profile.col_pos[a].bit_count() + (1 if diag == UNKNOWN else 0)
-                demands[a] = max(0, rule.s - quals)
+            star = 1 if a in resolved else 0  # the diagonal counts on its resolved side
+            off_diag_stars = profile.n - profile.col_known[a].bit_count() - star
+            if resolved.get(a, profile.entry(a, a)) == 1:
+                needs[a] -= star
+                if needs[a] < 0:
+                    break
+                demands[a] = max(0, rule.s - (profile.col_pos[a].bit_count() + star))
             else:
-                fixed_disq = (profile.col_known[a] & ~profile.col_pos[a]).bit_count()
-                if diag == UNKNOWN:
-                    fixed_disq += 1
-                unknown_col = profile.n - profile.col_known[a].bit_count()
-                off_diag_stars = unknown_col - (1 if diag == UNKNOWN else 0)
-                demands[a] = max(0, fixed_disq + off_diag_stars - (rule.t - 1))
-        if not feasible:
-            continue
-        if _star_flow_value(profile, members, needs, demands):
-            return True
+                disq = (profile.col_known[a] & ~profile.col_pos[a]).bit_count() + star
+                demands[a] = max(0, disq + off_diag_stars - (rule.t - 1))
+            if demands[a] > off_diag_stars:
+                break
+        else:
+            if _star_flow_value(profile, members, needs, demands):
+                return True
     return False
 
 

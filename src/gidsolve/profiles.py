@@ -58,6 +58,16 @@ def bits(mask: int):
         mask ^= low
 
 
+def _index_mask(indices, n: int, error=IndexOutOfRange) -> int:
+    """Mask of indices; raises error at the first one, in iteration order, outside 0..n-1."""
+    mask = 0
+    for i in indices:
+        if not 0 <= i < n:
+            raise error("individual index %d out of range for n=%d" % (i, n))
+        mask |= 1 << i
+    return mask
+
+
 def default_names(n: int) -> tuple[str, ...]:
     return tuple("a%d" % (i + 1) for i in range(n))
 
@@ -131,15 +141,16 @@ class Profile:
 
     def entry(self, a: int, b: int) -> int:
         """Return phi(a, b): +1, -1, or 0 for star/unset."""
-        self._check_index(a)
-        self._check_index(b)
+        n = self.n
+        if not (0 <= a < n and 0 <= b < n):
+            _index_mask((a, b), n)  # raises, naming the first index out of range
         bit = 1 << b
         if not self.row_known[a] & bit:
             return UNKNOWN
         return PLUS if self.row_pos[a] & bit else MINUS
 
     def row(self, a: int) -> list[int]:
-        self._check_index(a)
+        _index_mask((a,), self.n)
         rp = self.row_pos[a]
         rk = self.row_known[a]
         out = []
@@ -172,7 +183,7 @@ class Profile:
     def replace_rows(self, new_rows: dict[int, list[int]]) -> "Profile":
         """Return a copy with whole rows rewritten; kind is unchanged."""
         for a, values in new_rows.items():
-            self._check_index(a)
+            _index_mask((a,), self.n)
             if len(values) != self.n:
                 raise IndexOutOfRange("replacement row has %d cells, want %d" % (len(values), self.n))
         row_pos = list(self.row_pos)
@@ -185,8 +196,7 @@ class Profile:
     def with_entries(self, updates: dict[tuple[int, int], int]) -> "Profile":
         """Return a copy with individual cells rewritten; kind is unchanged."""
         for a, b in updates:
-            self._check_index(a)
-            self._check_index(b)
+            _index_mask((a, b), self.n)
         row_pos = list(self.row_pos)
         row_known = list(self.row_known)
         # row-major order, so a bad value is reported at its lowest cell
@@ -197,10 +207,6 @@ class Profile:
             row_known[a] = (row_known[a] & keep) | known
         return Profile(n=self.n, kind=self.kind, names=self.names,
                        row_pos=tuple(row_pos), row_known=tuple(row_known))
-
-    def _check_index(self, i: int):
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange("individual index %d out of range for n=%d" % (i, self.n))
 
 
 def make_profile(rows, kind: str = "binary", names=None) -> Profile:
@@ -367,12 +373,7 @@ def subset_mask(subset, profile: Profile) -> int:
     """Convert an iterable of indices (or None meaning all of N) to a mask."""
     if subset is None:
         return full_mask(profile.n)
-    mask = 0
-    for i in subset:
-        if not 0 <= i < profile.n:
-            raise IndexOutOfRange("individual index %d out of range for n=%d" % (i, profile.n))
-        mask |= 1 << i
-    return mask
+    return _index_mask(subset, profile.n)
 
 
 def eval_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
@@ -381,56 +382,46 @@ def eval_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
     Callers run ensure_applicable once and may then evaluate any number of
     masks and profiles of the same n and kind.
     """
-    if rule.variant == "consent":
-        return _consent_mask(rule.s, rule.t, t_mask, profile)
-    if rule.variant == "ternary":
-        return _ternary_mask(rule, t_mask, profile)
+    if rule.variant in ("consent", "ternary"):
+        return _quota_mask(rule, t_mask, profile)
     return _sequential_rounds(rule.variant, t_mask, profile)[-1]
 
 
-def _consent_mask(s: int, t: int, t_mask: int, profile: Profile) -> int:
+def _quota_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
+    """consent(s, t) and ternary(s, s', t) on T, column by column.
+
+    A member of T stands by its own diagonal once that side's count in its
+    column, over T, reaches a quota.  Three diagonal cases:
+
+    * self-approver (+1): qualified with at least s approvals;
+    * self-disapprover (-1): disqualified with at least t disapprovals;
+    * indifferent (star, ternary profiles only): qualified with at least
+      s' approvals.
+
+    Consent is the star-free case: binary profiles know every diagonal, so
+    s' is read only on ternary profiles.
+    """
     col_pos, col_known = profile._columns()
     diag_pos = profile.diag_pos
+    diag_known = profile.diag_known
+    s = rule.s
+    t = rule.t
     result = 0
-    # bits() inlined here and in the other evaluators: they run once per
+    # bits() inlined here and in _sequential_rounds: they run once per
     # candidate witness in the oracles
     rest = t_mask
     while rest:
         bit = rest & -rest
         rest ^= bit
         a = bit.bit_length() - 1
-        quals = (col_pos[a] & t_mask).bit_count()
         if diag_pos & bit:
-            if quals >= s:
+            if (col_pos[a] & t_mask).bit_count() >= s:
                 result |= bit
-        else:
-            disq = ((col_known[a] & ~col_pos[a]) & t_mask).bit_count()
-            if disq < t:
+        elif diag_known & bit:
+            if (col_known[a] & ~col_pos[a] & t_mask).bit_count() < t:
                 result |= bit
-    return result
-
-
-def _ternary_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
-    s_prime = rule.effective_s_prime(profile.n)
-    col_pos, col_known = profile._columns()
-    result = 0
-    rest = t_mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        a = bit.bit_length() - 1
-        quals = (col_pos[a] & t_mask).bit_count()
-        if not profile.diag_known & bit:
-            # indifferent about themselves: plain quota over qualifiers in T
-            if quals >= s_prime:
-                result |= bit
-        elif profile.diag_pos & bit:
-            if quals >= rule.s:
-                result |= bit
-        else:
-            disq = ((col_known[a] & ~col_pos[a]) & t_mask).bit_count()
-            if disq < rule.t:
-                result |= bit
+        elif (col_pos[a] & t_mask).bit_count() >= rule.effective_s_prime(profile.n):
+            result |= bit
     return result
 
 

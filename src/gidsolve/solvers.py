@@ -342,27 +342,25 @@ def _columnwise_flip_cost(instance: AttackInstance, a: int, qualify: bool):
             cost += price(b)
         return cost, flips
 
-    options = []
+    # the wanted side: qualify wants +1 entries and quota s (t on the other
+    # side); disqualifying is the mirror image, -1 entries and quota t
     if qualify:
-        # self +1: reach quota s counting the diagonal
-        options.append(branch(1, max(0, rule.s - (len(plus_rows) + 1)),
-                              minus_rows + star_rows, 1))
-        # self -1: the self-disqualification is stuck, get the rest under t
-        options.append(branch(-1, max(0, (len(minus_rows) + 1) - (rule.t - 1)),
-                              minus_rows, 1))
-        if diag == 0:
-            options.append(branch(None, max(0, rule.effective_s_prime(p.n) - len(plus_rows)),
-                                  minus_rows + star_rows, 1))
+        sign, agree, against, own, other = 1, plus_rows, minus_rows, rule.s, rule.t
     else:
-        # self -1: reach threshold t counting the diagonal
-        options.append(branch(-1, max(0, rule.t - (len(minus_rows) + 1)),
-                              plus_rows + star_rows, -1))
-        # self +1: the self-qualification is stuck, push the rest under s
-        options.append(branch(1, max(0, (len(plus_rows) + 1) - (rule.s - 1)),
-                              plus_rows, -1))
-        if diag == 0:
-            options.append(branch(None, max(0, len(plus_rows) - (rule.effective_s_prime(p.n) - 1)),
-                                  plus_rows, -1))
+        sign, agree, against, own, other = -1, minus_rows, plus_rows, rule.t, rule.s
+    options = [
+        # diagonal on the wanted side: reach its own quota counting the diagonal
+        branch(sign, max(0, own - (len(agree) + 1)), against + star_rows, sign),
+        # diagonal on the other side, which is stuck: push the rest under its quota
+        branch(-sign, max(0, (len(against) + 1) - (other - 1)), against, sign),
+    ]
+    if diag == 0:
+        # star diagonal (ternary): s' approvals qualify
+        s_prime = rule.effective_s_prime(p.n)
+        if qualify:
+            options.append(branch(None, max(0, s_prime - len(plus_rows)), minus_rows + star_rows, 1))
+        else:
+            options.append(branch(None, max(0, len(plus_rows) - (s_prime - 1)), plus_rows, -1))
 
     options = [o for o in options if o is not None]
     if not options:
@@ -428,31 +426,28 @@ def build_ilp_model(instance: AttackInstance) -> IlpModel:
     upper_rows = []
     subtractive = instance.family == "GCDI"
     for i, a in enumerate(ordered_targets):
-        quals = (p.col_pos[a] & base_mask).bit_count()
-        disq = ((p.col_known[a] & ~p.col_pos[a]) & base_mask).bit_count()
-        plus_idx = tuple(j for j, beta in enumerate(betas) if beta[i] == 1)
-        minus_idx = tuple(j for j, beta in enumerate(betas) if beta[i] == -1)
-        wants_qualified = a in eff_plus
+        # the own side of a's diagonal: +1 entries and quota s for a
+        # self-approver, -1 entries and quota t otherwise
         self_plus = p.entry(a, a) == 1
+        if self_plus:
+            own, quota, have = 1, rule.s, (p.col_pos[a] & base_mask).bit_count()
+        else:
+            own, quota, have = -1, rule.t, (p.col_known[a] & ~p.col_pos[a] & base_mask).bit_count()
+        idx = tuple(j for j, beta in enumerate(betas) if beta[i] == own)
+        # reach: the objective wants the own-side count at or past its quota
+        # (qualify a self-approver, disqualify a self-disapprover)
+        reach = (a in eff_plus) == self_plus
         if not subtractive:
-            if wants_qualified and self_plus:
-                lower_rows.append((plus_idx, rule.s - quals))
-            elif wants_qualified:
-                upper_rows.append((minus_idx, (rule.t - 1) - disq))
-            elif self_plus:
-                upper_rows.append((plus_idx, (rule.s - 1) - quals))
+            if reach:
+                lower_rows.append((idx, quota - have))
             else:
-                lower_rows.append((minus_idx, rule.t - disq))
+                upper_rows.append((idx, (quota - 1) - have))
         else:
             # deletions subtract from current counts instead of adding
-            if wants_qualified and self_plus:
-                upper_rows.append((plus_idx, quals - rule.s))
-            elif wants_qualified:
-                lower_rows.append((minus_idx, disq - (rule.t - 1)))
-            elif self_plus:
-                lower_rows.append((plus_idx, quals - (rule.s - 1)))
+            if reach:
+                upper_rows.append((idx, have - quota))
             else:
-                upper_rows.append((minus_idx, disq - rule.t))
+                lower_rows.append((idx, have - (quota - 1)))
     return IlpModel(
         betas=betas,
         counts=counts,

@@ -400,6 +400,18 @@ def test_diag_reports_quota_slack(capsys, tmp_path):
     assert sum(1 for k, _ in pairs if k == "slack") == 3
 
 
+def test_diag_validates_like_solve(capsys, tmp_path):
+    # an invalid instance ends diag the way it ends solve: the InvalidInstance
+    # line and exit 2, no report
+    (tmp_path / "t.gid").write_text(TERNARY_TEXT)
+    path = tmp_path / "bad.gidinst"
+    path.write_text("gidinst v1\nproblem GB\nobjective general\nrule consent 2 1\n"
+                    "profile t.gid\naplus b1\naminus b1\nbudget 1\n")
+    want = "error\tInvalidInstance\tRuleNotApplicable DisjointnessViolated\n"
+    for command in ("solve", "diag"):
+        assert run(capsys, [command, str(path)]) == (2, "", want)
+
+
 def test_digest_is_path_independent(capsys, tmp_path):
     for sub in ("x", "y"):
         run(capsys, ["gen", "cgb", "--out", str(tmp_path / sub), "--m", "1",

@@ -25,7 +25,7 @@ from gidsolve.instances import (
     parse_instance,
     validate,
 )
-from gidsolve.profiles import Profile, SocialRule, default_names, make_profile
+from gidsolve.profiles import Profile, SocialRule, default_names, make_profile, negate
 
 from helpers import EX1_TEXT, ex1
 
@@ -274,6 +274,32 @@ def test_diagnostics_t_side():
     assert diag.t_star == 0
     assert diag.s_star is None
     assert diag.per_individual == ((0, 2, 2),)
+
+
+def test_diagnostics_t_side_is_dual_s_side():
+    # consent duality: the t* side under consent(s, t) is the s* side of the
+    # negated profile under consent(t, s), aplus the original aminus
+    rng = random.Random(4242)
+    compared = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        p = make_profile([[rng.choice((1, -1, -1)) for _ in range(n)] for _ in range(n)])
+        s = 1 if rng.random() < 0.7 else rng.randint(1, n + 1)
+        t = rng.randint(1, n + 2 - s)
+        disapprovers = [a for a in range(n) if p.entry(a, a) == -1]
+        pick = disapprovers if rng.random() < 0.8 else list(range(n))
+        aminus = rng.sample(pick, rng.randint(0, min(3, len(pick))))
+        aplus = [a for a in range(n) if a not in aminus and rng.random() < 0.3]
+        inst = make_instance(p, SocialRule.consent(s, t), "GB", "general",
+                             aplus=aplus, aminus=aminus, budget=1)
+        dual = make_instance(negate(p), SocialRule.consent(t, s), "GB", "general",
+                             aplus=aminus, budget=1)
+        got = diagnostics(inst)
+        want = diagnostics(dual)
+        assert got.t_star == want.s_star
+        assert tuple(x for x in got.per_individual if x[0] in inst.aminus) == want.per_individual
+        compared += got.t_star is not None
+    assert compared > 100
 
 
 def test_diagnostics_preconditions():

@@ -269,7 +269,8 @@ def _quota_reference(rule, t, p):
 
 def test_quota_rules_match_column_reference_exhaustively():
     # every binary profile at n <= 3, every subset T, every valid (s, t),
-    # each as consent and as ternary with the majority shorthand
+    # each as consent and as ternary with the majority shorthand; then the
+    # star diagonals
     for n in range(4):
         rules = [make(s, t) for s in range(1, n + 2) for t in range(1, n + 3 - s)
                  for make in (SocialRule.consent, lambda s, t: SocialRule.ternary(s, None, t))]
@@ -279,6 +280,18 @@ def test_quota_rules_match_column_reference_exhaustively():
             for rule in rules:
                 for t in subsets:
                     assert eval(rule, t, p) == _quota_reference(rule, t, p), (rule, p.row_pos, t)
+    # every ternary profile at n <= 2 (cells +1, -1 and star, so every
+    # diagonal case), every T, every s, t and s', the majority shorthand too
+    for n in range(3):
+        quotas = range(1, n + 2)
+        rules = [SocialRule.ternary(s, s_prime, t) for s in quotas for t in quotas
+                 for s_prime in (None, *quotas)]
+        subsets = [frozenset(t) for size in range(n + 1) for t in itertools.combinations(range(n), size)]
+        for cells in itertools.product((1, -1, 0), repeat=n * n):
+            p = make_profile([cells[a * n:(a + 1) * n] for a in range(n)], kind="ternary")
+            for rule in rules:
+                for t in subsets:
+                    assert eval(rule, t, p) == _quota_reference(rule, t, p), (rule, cells, t)
 
 
 def test_ternary_rule_matches_column_reference_random():

@@ -15,6 +15,7 @@ from gidsolve.instances import (
     AttackInstance,
     Solution,
     check_witness,
+    effective_targets,
     hard_violations,
     make_instance,
     validate,
@@ -39,6 +40,7 @@ from gidsolve.solvers import (
     solve_dgb_xp,
     solve_fpt_ilp,
     solve_gcdi_22,
+    solve_ilp_model,
     solve_microbribery_consent,
 )
 
@@ -704,6 +706,102 @@ def test_ilp_model_matches_witness_check_exactly():
             for idx, rhs in model.upper_rows:
                 fits = fits and sum(counts[j] for j in idx) <= rhs
             assert fits == check_witness(instance, Solution.added(added))
+
+
+def _ilp_rows_by_case(instance, betas):
+    """The quota rows of build_ilp_model, written out one case at a time.
+
+    Cases: adding or deleting, times target wants qualified or not, times
+    self-approving or not.
+    """
+    p = instance.profile
+    rule = instance.rule
+    eff_plus, eff_minus = effective_targets(instance)
+    if instance.family == "GCAI":
+        base = profiles.mask_of(instance.pool)
+    else:
+        base = profiles.full_mask(p.n)
+    lower, upper = [], []
+    for i, a in enumerate(sorted(eff_plus) + sorted(eff_minus)):
+        quals = (p.col_pos[a] & base).bit_count()
+        disq = (p.col_known[a] & ~p.col_pos[a] & base).bit_count()
+        plus_idx = tuple(j for j, beta in enumerate(betas) if beta[i] == 1)
+        minus_idx = tuple(j for j, beta in enumerate(betas) if beta[i] == -1)
+        wants = a in eff_plus
+        self_plus = p.entry(a, a) == 1
+        if instance.family == "GCAI":
+            if wants and self_plus:
+                lower.append((plus_idx, rule.s - quals))
+            elif wants:
+                upper.append((minus_idx, (rule.t - 1) - disq))
+            elif self_plus:
+                upper.append((plus_idx, (rule.s - 1) - quals))
+            else:
+                lower.append((minus_idx, rule.t - disq))
+        else:
+            if wants and self_plus:
+                upper.append((plus_idx, quals - rule.s))
+            elif wants:
+                lower.append((minus_idx, disq - (rule.t - 1)))
+            elif self_plus:
+                lower.append((plus_idx, quals - (rule.s - 1)))
+            else:
+                upper.append((minus_idx, disq - rule.t))
+    return tuple(lower), tuple(upper)
+
+
+def test_ilp_rows_match_case_table():
+    # every row, its group indices and its right-hand side, in emission order
+    rng = random.Random(909)
+    cases = set()
+    for _ in range(400):
+        n = rng.randrange(2, 8)
+        p = random_binary(rng, n)
+        s = rng.randrange(1, n + 2)
+        t = rng.randrange(1, n + 3 - s)
+        family = rng.choice(("GCAI", "GCDI"))
+        people = rng.sample(range(n), min(n, rng.randrange(1, 4)))
+        cut = rng.randrange(len(people) + 1)
+        aplus, aminus = people[:cut], people[cut:]
+        objective = rng.choice(("constructive", "destructive", "general"))
+        pool = None
+        if family == "GCAI":
+            pool = sorted(set(people) | {b for b in range(n) if rng.random() < 0.3})
+        instance = make_instance(p, consent(s, t), family, objective, aplus=aplus,
+                                 aminus=aminus, pool=pool, budget=rng.randrange(0, 4))
+        model = build_ilp_model(instance)
+        assert (model.lower_rows, model.upper_rows) == _ilp_rows_by_case(instance, model.betas)
+        eff_plus, eff_minus = effective_targets(instance)
+        cases.update((family, a in eff_plus, p.entry(a, a)) for a in eff_plus | eff_minus)
+    assert len(cases) == 8  # every row case came up
+
+
+# (rows, rule (s, t), family, objective, aplus, aminus, pool, budget, nodes, assignment)
+ILP_NODE_CASES = [
+    ([[1, -1, -1, 1, 1, 1, -1, -1], [1, 1, 1, 1, 1, 1, -1, -1], [-1, 1, 1, 1, -1, -1, 1, 1],
+      [1, 1, 1, -1, 1, -1, -1, 1], [-1, -1, 1, -1, 1, 1, -1, 1], [-1, 1, -1, 1, 1, 1, 1, 1],
+      [1, -1, 1, -1, -1, 1, 1, -1], [-1, 1, -1, -1, 1, -1, 1, -1]],
+     (4, 5), "GCAI", "general", (4,), (2,), (2, 4), 4, 10, [0, 2, 1]),
+    ([[1, -1, 1, -1, 1, -1, 1, -1], [-1, -1, -1, -1, 1, -1, 1, 1], [1, 1, 1, 1, -1, -1, -1, 1],
+      [-1, -1, -1, -1, -1, 1, 1, -1], [-1, 1, 1, 1, -1, 1, -1, 1], [1, 1, 1, 1, 1, 1, 1, -1],
+      [-1, 1, -1, 1, -1, 1, -1, -1], [-1, -1, 1, -1, -1, 1, -1, -1]],
+     (3, 4), "GCDI", "constructive", (0, 7), (), None, 4, 16, [2, 0, 0, 0]),
+    ([[1, -1, 1, -1, -1, -1, 1, -1], [-1, 1, -1, -1, -1, -1, 1, 1], [-1, 1, 1, -1, -1, 1, 1, -1],
+      [1, -1, -1, 1, 1, 1, -1, -1], [-1, 1, -1, 1, -1, -1, 1, 1], [-1, 1, 1, 1, 1, -1, -1, -1],
+      [-1, -1, 1, -1, 1, 1, 1, -1], [1, 1, -1, 1, 1, 1, -1, -1]],
+     (4, 5), "GCDI", "general", (2,), (1, 6), None, 4, 23, None),
+]
+
+
+def test_ilp_search_node_counts_pinned():
+    # the rows' order fixes the search order, so node counts pin it
+    for rows, (s, t), family, objective, aplus, aminus, pool, budget, nodes, want in ILP_NODE_CASES:
+        instance = make_instance(profiles.make_profile(rows), consent(s, t), family, objective,
+                                 aplus=aplus, aminus=aminus, pool=pool, budget=budget)
+        model = build_ilp_model(instance)
+        assert solve_ilp_model(model, node_limit=nodes) == want
+        with pytest.raises(InstanceTooLarge):
+            solve_ilp_model(model, node_limit=nodes - 1)
 
 
 def test_fpt_ilp_matches_oracle_gcai():
