@@ -172,7 +172,7 @@ def gen_rx3c_no(m: int, seed: int = 0) -> Rx3cInstance:
     return out
 
 
-def rx3c_to_cgb(rx3c: Rx3cInstance, s_override: int | None = None) -> AttackInstance:
+def rx3c_to_cgb(rx3c: Rx3cInstance) -> AttackInstance:
     """Constructive group bribery instance from an exact-cover family.
 
     Element individuals qualify each other (themselves included); each
@@ -181,9 +181,7 @@ def rx3c_to_cgb(rx3c: Rx3cInstance, s_override: int | None = None) -> AttackInst
     against the quota s = 6m - 2.  Bribing the rows of a cover's
     triples to qualify everyone closes each gap exactly once, so the
     instance is YES precisely when the family has an exact cover.
-    Remaining entries are fixed to -1 for reproducibility.  s_override
-    replaces the size-coupled quota for solver smoke tests; overridden
-    instances carry no planted answer.
+    Remaining entries are fixed to -1 for reproducibility.
     """
     m = rx3c.m
     n = 6 * m
@@ -194,10 +192,9 @@ def rx3c_to_cgb(rx3c: Rx3cInstance, s_override: int | None = None) -> AttackInst
     for j, triple in enumerate(rx3c.triples):
         for x in range(3 * m):
             rows[3 * m + j][x] = 1 if x not in triple else -1
-    s = 6 * m - 2 if s_override is None else s_override
     return make_instance(
         make_profile(rows, kind="binary"),
-        SocialRule.consent(s, 1),
+        SocialRule.consent(6 * m - 2, 1),
         "GB",
         "constructive",
         aplus=range(3 * m),

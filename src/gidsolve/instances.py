@@ -212,6 +212,15 @@ def start_subset(instance: AttackInstance) -> frozenset:
     return frozenset(range(instance.profile.n))
 
 
+def control_domain(instance: AttackInstance) -> list[int]:
+    """The individuals a GCAI/GCDI witness may name, ascending.
+
+    Adding draws from outside the pool; deleting may not touch a target.
+    """
+    fixed = instance.pool if instance.family == "GCAI" else instance.targets()
+    return sorted(frozenset(range(instance.profile.n)) - fixed)
+
+
 def check_witness(instance: AttackInstance, solution: Solution) -> bool:
     """Ground-truth witness check: domain, cost bound, and final evaluation.
 

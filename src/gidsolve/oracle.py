@@ -30,6 +30,7 @@ from .instances import (
     Solution,
     Verdict,
     check_witness,
+    control_domain,
     effective_targets,
 )
 from .profiles import Profile, SocialRule
@@ -73,14 +74,10 @@ def solve_control_brute(instance: AttackInstance, search: SearchBudget = DEFAULT
         return _first_witness(instance, candidates, search)
     if instance.budget is None:
         raise PreconditionViolated("%s instance needs a budget" % family)
-    if family == "GCAI":
-        if instance.pool is None:
-            raise PreconditionViolated("GCAI instance needs a pool")
-        domain = sorted(frozenset(range(n)) - instance.pool)
-        make = Solution.added
-    else:
-        domain = sorted(frozenset(range(n)) - instance.targets())
-        make = Solution.deleted
+    if family == "GCAI" and instance.pool is None:
+        raise PreconditionViolated("GCAI instance needs a pool")
+    domain = control_domain(instance)
+    make = Solution.added if family == "GCAI" else Solution.deleted
     candidates = map(make, _subsets(domain, min(instance.budget, len(domain))))
     return _first_witness(instance, candidates, search)
 

@@ -18,16 +18,17 @@ The unrestricted queries reduce to evaluating one canonical completion:
   disqualifiers and fails as well.  The pessimistic direction is the
   mirror image.
 * Ternary rules carry no quota bound, so neither diagonal choice
-  dominates; the builders instead pick the winning (or spoiling)
+  dominates; the builder instead picks the winning (or spoiling)
   diagonal value per member, which column-locality keeps exact.
 * The consensual and liberal sequential rules are monotone in the set
   of positive entries, so the all-+1 completion maximises and the
   all--1 completion minimises the outcome over all completions.
 
-The r-restricted solvers run on flow feasibility over the unknown cells
-(possible) and a forced/dodgeable cell analysis (necessary);
-`answer_query` routes to the right specialised routine and falls back
-to extension enumeration where none applies.
+Both completions come from one builder over the row masks.  The
+r-restricted solvers run on flow feasibility over the unknown cells of
+S-columns (possible) and on per-column forced and dodgeable masks
+(necessary); `answer_query` routes to the right specialised routine
+and falls back to extension enumeration where none applies.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (
     WrongKind,
 )
 from .oracle import DEFAULT_SEARCH, SearchBudget, pqi_nqi_brute, row_needs
-from .profiles import UNKNOWN, Profile, SocialRule, _index_mask, eval, full_mask, mask_of
+from .profiles import Profile, SocialRule, _index_mask, bits, eval, full_mask, mask_of
 
 PQI = "PQI"
 NQI = "NQI"
@@ -172,41 +173,40 @@ def _check_query(profile: Profile, subset, rule: SocialRule) -> list[int]:
     return members
 
 
-def optimistic_extension(profile: Profile, subset, rule: SocialRule) -> Profile:
-    """Completion resolving every unknown in favour of the queried set."""
+def _extension(profile: Profile, subset, rule: SocialRule, sign: int) -> Profile:
+    """Binary completion resolving the unknowns to sign, for or against the set.
+
+    For sign = +1 an unknown (b, a) turns +1 in every column under csr/lsr
+    and in the members' columns otherwise, and -1 elsewhere; for sign = -1
+    every unknown turns -1.
+    """
     members = _check_query(profile, subset, rule)
     n = profile.n
     full = full_mask(n)
-    # an unknown (b, a) turns +1 for every a under csr/lsr, for members of the set otherwise
-    favoured = full if rule.variant in ("csr", "lsr") else mask_of(members)
+    if sign < 0:
+        favoured = 0
+    else:
+        favoured = full if rule.variant in ("csr", "lsr") else mask_of(members)
     pos = [rp | (~rk & favoured) for rp, rk in zip(profile.row_pos, profile.row_known)]
     if rule.variant == "ternary":
-        # no quota bound, so pick the winning diagonal value per member:
-        # keep +1 unless only -1 qualifies a, by staying under the t quota
-        for a in members:
-            if profile.entry(a, a) != UNKNOWN:
-                continue
+        # no quota bound, so neither diagonal value dominates: where +1 misses
+        # the s quota and -1 stays under the t quota, only -1 qualifies a, and
+        # the unknown diagonal takes -sign
+        for a in bits(mask_of(members) & ~profile.diag_known):
             quals_off = sum(pos[b] >> a & 1 for b in range(n) if b != a)
-            if quals_off + 1 < rule.s and (n - 1 - quals_off) + 1 <= rule.t - 1:
-                pos[a] &= ~(1 << a)
+            if quals_off + 1 < rule.s and n - quals_off < rule.t:
+                pos[a] ^= 1 << a
     return Profile(n=n, kind="binary", names=profile.names, row_pos=tuple(pos), row_known=(full,) * n)
+
+
+def optimistic_extension(profile: Profile, subset, rule: SocialRule) -> Profile:
+    """Completion resolving every unknown in favour of the queried set."""
+    return _extension(profile, subset, rule, 1)
 
 
 def pessimistic_extension(profile: Profile, subset, rule: SocialRule) -> Profile:
     """Completion resolving every unknown against the queried set."""
-    members = _check_query(profile, subset, rule)
-    n = profile.n
-    pos = list(profile.row_pos)
-    if rule.variant == "ternary":
-        # keep -1 unless only +1 disqualifies a, by missing the s quota
-        for a in members:
-            if profile.entry(a, a) != UNKNOWN:
-                continue
-            quals_off = sum(pos[b] >> a & 1 for b in range(n) if b != a)
-            if (n - 1 - quals_off) + 1 < rule.t and quals_off + 1 < rule.s:
-                pos[a] |= 1 << a
-    return Profile(n=n, kind="binary", names=profile.names, row_pos=tuple(pos),
-                   row_known=(full_mask(n),) * n)
+    return _extension(profile, subset, rule, -1)
 
 
 def _plain_query_guards(profile: Profile, query: PartialQuery, mode: str):
@@ -230,10 +230,6 @@ def nqi(profile: Profile, query: PartialQuery, rule: SocialRule) -> bool:
     return query.subset <= eval(rule, None, ext)
 
 
-def _unknown_counts(profile: Profile) -> list[int]:
-    return [profile.n - profile.row_known[a].bit_count() for a in range(profile.n)]
-
-
 def _star_flow_value(profile: Profile, members: list[int], needs: list[int],
                      demands: dict[int, int]) -> bool:
     """Feasibility of routing row surpluses onto unknown S-column cells.
@@ -243,24 +239,21 @@ def _star_flow_value(profile: Profile, members: list[int], needs: list[int],
     absorb its demand.  Member diagonals are resolved by the callers
     before the network is built, so only off-diagonal cells carry arcs.
     """
+    total = sum(demands.values())
+    if total == 0:
+        return True
     n = profile.n
     source = 0
     row_base = 1
     col_index = {a: row_base + n + i for i, a in enumerate(members)}
     sink = row_base + n + len(members)
-    arcs = []
-    for b in range(n):
-        if needs[b] > 0:
-            arcs.append((source, row_base + b, needs[b]))
-    for b in range(n):
-        for a in members:
-            if b != a and profile.entry(b, a) == UNKNOWN:
-                arcs.append((row_base + b, col_index[a], 1))
+    arcs = [(source, row_base + b, need) for b, need in enumerate(needs) if need > 0]
+    member_mask = mask_of(members)
+    for b, known in enumerate(profile.row_known):
+        for a in bits(member_mask & ~known & ~(1 << b)):
+            arcs.append((row_base + b, col_index[a], 1))
     for a in members:
         arcs.append((col_index[a], sink, demands[a]))
-    total = sum(demands.values())
-    if total == 0:
-        return True
     value, _cut = max_flow(FlowNetwork(sink + 1, source, sink, tuple(arcs)))
     return value == total
 
@@ -306,7 +299,7 @@ def _r_pqi_branches(profile: Profile, subset, r: int, rule: SocialRule, values) 
     """
     members = _check_query(profile, subset, rule)
     base_needs = row_needs(profile, r)
-    star_diags = [a for a in members if profile.entry(a, a) == UNKNOWN]
+    star_diags = list(bits(mask_of(members) & ~profile.diag_known))
     branches = len(values) ** len(star_diags)
     if branches > R_PQI_BRANCH_CAP:
         raise InstanceTooLarge("%d diagonal branches exceed cap %d" % (branches, R_PQI_BRANCH_CAP))
@@ -317,7 +310,7 @@ def _r_pqi_branches(profile: Profile, subset, r: int, rule: SocialRule, values) 
         for a in members:
             star = 1 if a in resolved else 0  # the diagonal counts on its resolved side
             off_diag_stars = profile.n - profile.col_known[a].bit_count() - star
-            if resolved.get(a, profile.entry(a, a)) == 1:
+            if resolved.get(a) == 1 or profile.diag_pos >> a & 1:
                 needs[a] -= star
                 if needs[a] < 0:
                     break
@@ -339,9 +332,11 @@ def r_nqi(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     Handles consent rules for any quotas, and the sequential rules for
     r = 1, where each row's single +1 collapses them: the liberal rule
     returns exactly the self-approvers and the consensual rule returns
-    the lone unanimous column or nothing.  A cell is forced +1 when its
-    row must spend every unknown, and dodgeable when the row has slack
-    to make it -1; rows dodge independently, so the per-member worst
+    the lone unanimous column or nothing.  A row whose need equals its
+    unknown count must spend them all, so a column's forced mask holds
+    its known +1 rows and the spend-all rows where it is unknown; every
+    other row is dodgeable, a known -1 or an unknown in a row with slack
+    to make it -1.  Rows dodge independently, so the per-member worst
     case is exact.
     """
     if rule.variant == "ternary":
@@ -349,38 +344,32 @@ def r_nqi(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     if rule.variant in ("csr", "lsr") and r != 1:
         raise PreconditionViolated("sequential rules are only solved directly for r = 1")
     members = _check_query(profile, subset, rule)
+    n = profile.n
     needs = row_needs(profile, r)
-    unknowns = _unknown_counts(profile)
-
-    def forced_plus(b: int, a: int) -> bool:
-        cell = profile.entry(b, a)
-        return cell == 1 or (cell == UNKNOWN and needs[b] == unknowns[b])
-
-    def can_minus(b: int, a: int) -> bool:
-        cell = profile.entry(b, a)
-        return cell == -1 or (cell == UNKNOWN and needs[b] <= unknowns[b] - 1)
-
+    spend_all = mask_of(b for b, (need, known) in enumerate(zip(needs, profile.row_known))
+                        if need == n - known.bit_count())
     if rule.variant == "lsr":
-        return all(forced_plus(a, a) for a in members)
+        return not mask_of(members) & ~(profile.diag_pos | (~profile.diag_known & spend_all))
+
+    def forced(a: int) -> int:
+        return profile.col_pos[a] | (~profile.col_known[a] & spend_all)
+
     if rule.variant == "csr":
-        if len(members) != 1:
-            return False
-        target = members[0]
-        return all(forced_plus(b, target) for b in range(profile.n))
+        return len(members) == 1 and forced(members[0]) == full_mask(n)
     for a in members:
-        min_quals_off = sum(1 for b in range(profile.n) if b != a and forced_plus(b, a))
-        max_disq_off = sum(1 for b in range(profile.n) if b != a and can_minus(b, a))
-        diag = profile.entry(a, a)
-        loses_as_plus = 1 + min_quals_off < rule.s
-        loses_as_minus = 1 + max_disq_off >= rule.t
-        if diag == 1:
+        bit = 1 << a
+        quals_off = (forced(a) & ~bit).bit_count()
+        loses_as_plus = 1 + quals_off < rule.s
+        # the n - 1 - quals_off dodgeable cells plus a's own -1
+        loses_as_minus = n - quals_off >= rule.t
+        if profile.diag_pos & bit:
             if loses_as_plus:
                 return False
-        elif diag == -1:
+        elif profile.diag_known & bit:
             if loses_as_minus:
                 return False
         else:
-            if needs[a] <= unknowns[a] - 1 and loses_as_minus:
+            if not spend_all & bit and loses_as_minus:
                 return False
             if needs[a] >= 1 and loses_as_plus:
                 return False
@@ -398,9 +387,8 @@ def answer_query(profile: Profile, query: PartialQuery, rule: SocialRule,
         if rule.t == 1 and rule.s >= 2:
             return r_pqi_consent_flow(profile, query.subset, query.r, rule), "r_pqi_consent_flow"
         return r_pqi_general(profile, query.subset, query.r, rule), "r_pqi_general"
-    if query.mode == NQI and rule.variant == "consent":
-        return r_nqi(profile, query.subset, query.r, rule), "r_nqi"
-    if query.mode == NQI and rule.variant in ("csr", "lsr") and query.r == 1:
+    if query.mode == NQI and (rule.variant == "consent"
+                              or (rule.variant in ("csr", "lsr") and query.r == 1)):
         return r_nqi(profile, query.subset, query.r, rule), "r_nqi"
     possible, necessary = pqi_nqi_brute(profile, query.subset, rule, r=query.r, search=search)
     return (possible if query.mode == PQI else necessary), "brute"

@@ -23,9 +23,11 @@ from .instances import (
     Solution,
     Verdict,
     check_witness,
+    control_domain,
     effective_targets,
     hard_violations,
     make_instance,
+    start_subset,
     validate,
 )
 from .oracle import (
@@ -160,22 +162,13 @@ def check_immunity(instance: AttackInstance) -> ImmunityVerdict:
     return ImmunityVerdict(False)
 
 
-def empty_solution(instance: AttackInstance) -> Solution:
-    kind = FAMILY_KIND[instance.family]
-    if kind == "bribed":
-        return Solution.bribed({})
-    if kind == "flipped":
-        return Solution.flipped({})
-    return Solution(kind, members=frozenset())
-
-
 def preflight(instance: AttackInstance) -> Verdict | None:
     """Shared solver entry: trivial instances and immunity short-circuits."""
     violations = validate(instance)
     hard = hard_violations(violations)
     if hard:
         raise PreconditionViolated("invalid instance: %s" % ", ".join(hard))
-    empty = empty_solution(instance)
+    empty = Solution(FAMILY_KIND[instance.family])
     if check_witness(instance, empty):
         return Verdict("YES", witness=empty)
     if any(v.startswith("warning:") for v in violations):
@@ -409,12 +402,8 @@ def build_ilp_model(instance: AttackInstance) -> IlpModel:
     rule = instance.rule
     eff_plus, eff_minus = effective_targets(instance)
     ordered_targets = sorted(eff_plus) + sorted(eff_minus)
-    if instance.family == "GCAI":
-        pool = sorted(frozenset(range(p.n)) - instance.pool)
-        base_mask = profiles.mask_of(instance.pool)
-    else:
-        pool = sorted(frozenset(range(p.n)) - instance.targets())
-        base_mask = profiles.full_mask(p.n)
+    pool = control_domain(instance)
+    base_mask = profiles.mask_of(start_subset(instance))
     groups = {}
     for b in pool:
         beta = tuple(p.entry(b, a) for a in ordered_targets)

@@ -144,7 +144,7 @@ def test_cgb_planted_answers():
 def test_cgb_diagnostics_and_override():
     assert diagnostics(rx3c_to_cgb(gen_rx3c(1, seed=5))).s_star == 2
     assert diagnostics(rx3c_to_cgb(gen_rx3c(2, seed=5))).s_star == 2
-    clipped = rx3c_to_cgb(gen_rx3c(1, seed=5), s_override=2)
+    clipped = dataclasses.replace(rx3c_to_cgb(gen_rx3c(1, seed=5)), rule=SocialRule.consent(2, 1))
     assert clipped.rule.s == 2
     # the clipped quota leaves the targets trivially qualified, a warning only
     assert hard_violations(validate(clipped)) == []

@@ -1,11 +1,13 @@
 """Qualification queries on partial profiles, checked against enumeration."""
 
+import itertools
 import random
 
 import pytest
 
 from gidsolve import partial
 from gidsolve.errors import (
+    GidError,
     IndexOutOfRange,
     InstanceTooLarge,
     InvalidR,
@@ -464,3 +466,67 @@ def test_answer_query_matches_brute():
         answer, _ = answer_query(profile, query, rule)
         possible, necessary = pqi_nqi_brute(profile, subset, rule, r=r)
         assert answer == (possible if mode == PQI else necessary)
+
+
+# ------------------------------------------------- exhaustive small profiles
+
+
+def query_rules(n):
+    """csr, lsr, every consent pair within the quota bound, ternary (s, *, t) for s, t <= 2."""
+    rules = [SocialRule.csr(), SocialRule.lsr()]
+    rules += [consent(s, t) for s in range(1, n + 2) for t in range(1, n + 3 - s)]
+    rules += [SocialRule.ternary(s, None, t) for s in (1, 2) for t in (1, 2)]
+    return rules
+
+
+def outcome(run):
+    try:
+        return run()
+    except GidError as error:
+        return type(error)
+
+
+def check_query_routes(profile, subset, rule, r):
+    """answer_query agrees with enumeration, error classes included, in both modes."""
+    brute = outcome(lambda: pqi_nqi_brute(profile, subset, rule, r=r))
+    for index, mode in enumerate((PQI, NQI)):
+        answer = outcome(lambda: answer_query(profile, PartialQuery(subset, mode, r=r), rule)[0])
+        expected = brute if isinstance(brute, type) else brute[index]
+        assert answer == expected, (profile.rows(), sorted(subset), rule.describe(), r, mode)
+
+
+def check_extensions(profile, subset, rule):
+    """Both canonical extensions are binary completions that keep every known cell."""
+    full = (1 << profile.n) - 1
+    for builder in (optimistic_extension, pessimistic_extension):
+        ext = builder(profile, subset, rule)
+        assert ext.kind == "binary" and ext.row_known == (full,) * profile.n
+        for pos, known, ext_pos in zip(profile.row_pos, profile.row_known, ext.row_pos):
+            assert ext_pos & known == pos
+
+
+def test_every_query_route_matches_brute_exhaustively_up_to_n2():
+    queries = 0
+    for n in (1, 2):
+        subsets = [frozenset(s) for size in range(1, n + 1)
+                   for s in itertools.combinations(range(n), size)]
+        for cells in itertools.product((1, -1, 0), repeat=n * n):
+            profile = make_profile([cells[a * n:(a + 1) * n] for a in range(n)], kind="partial")
+            for subset in subsets:
+                for rule in query_rules(n):
+                    check_extensions(profile, subset, rule)
+                    for r in [None, *range(1, n + 1)]:
+                        check_query_routes(profile, subset, rule, r)
+                        queries += 2
+    assert queries == 17604
+
+
+def test_every_query_route_matches_brute_on_n3_sample():
+    rng = random.Random(1003)
+    rules = query_rules(3)
+    for _ in range(1000):
+        profile = random_partial(rng, 3, 2)
+        subset = random_subset(rng, 3)
+        rule = rng.choice(rules)
+        check_extensions(profile, subset, rule)
+        check_query_routes(profile, subset, rule, rng.choice([None, 1, 2, 3]))
