@@ -226,7 +226,9 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
 
     Each kind's branch checks the witness against its domain and the budget,
     and yields the population mask (and, for bribery and microbribery, the
-    derived profile) the witness leads to.  Only then is rule applicability
+    derived profile) the witness leads to.  The derived profile's row masks
+    are built in the same pass that validates the replacement rows or
+    flips.  Only then is rule applicability
     checked, once: derived profiles keep n and kind, so the one check covers
     every evaluation, and an over-budget witness is False without it.  The
     rule is evaluated on masks (eval_mask), and the targets are tested
@@ -259,18 +261,33 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
         population = _index_mask(solution.members, n, WitnessOutOfDomain)  # the left part U
     elif solution.kind == "bribed":
         _index_mask(solution.members, n, WitnessOutOfDomain)
+        row_pos = list(p.row_pos)
+        row_known = list(p.row_known)
         for a, cells in solution.rows:
+            _index_mask((a,), n, WitnessOutOfDomain)
             if len(cells) != n:
                 raise WitnessOutOfDomain("replacement row for %s has %d cells, want %d" % (p.names[a], len(cells), n))
+            pos = known = 0
+            bit = 1
             for v in cells:
-                if v not in (1, -1) and not (v == 0 and p.kind == "ternary"):
+                if v == 1:
+                    pos |= bit
+                    known |= bit
+                elif v == -1:
+                    known |= bit
+                elif not (v == 0 and p.kind == "ternary"):
                     raise WitnessOutOfDomain("bad replacement cell value %r" % (v,))
+                bit <<= 1
+            row_pos[a] = pos
+            row_known[a] = known
         if instance.cost_of_agents(solution.members) > instance.budget:
             return False
-        p = p.replace_rows(dict(solution.rows))
+        p = Profile(n=n, kind=p.kind, names=p.names, row_pos=tuple(row_pos), row_known=tuple(row_known))
         population = full
     elif solution.kind == "flipped":
         seen = set()
+        row_pos = list(p.row_pos)
+        row_known = list(p.row_known)
         for a, b, v in solution.flips:
             _index_mask((a, b), n, WitnessOutOfDomain)
             if (a, b) in seen:
@@ -280,9 +297,15 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
                 raise WitnessOutOfDomain("flips must set +1 or -1, got %r" % (v,))
             if p.entry(a, b) == v:
                 raise WitnessOutOfDomain("flip does not change entry (%s, %s)" % (p.names[a], p.names[b]))
+            bit = 1 << b
+            row_known[a] |= bit
+            if v == 1:
+                row_pos[a] |= bit
+            else:
+                row_pos[a] &= ~bit
         if instance.cost_of_pairs(solution.flip_pairs()) > instance.budget:
             return False
-        p = p.with_entries({(a, b): v for a, b, v in solution.flips})
+        p = Profile(n=n, kind=p.kind, names=p.names, row_pos=tuple(row_pos), row_known=tuple(row_known))
         population = full
     else:
         raise KindMismatch("unknown solution kind: %s" % solution.kind)

@@ -128,18 +128,13 @@ def _column_local_rewrites(instance: AttackInstance, members):
         if p.kind == "ternary":
             order = order + (0,)
         choices.append(order)
+    template = [1 if b in targets_plus else -1 for b in range(p.n)]
     for picks in itertools.product(*choices):
         diag = dict(zip(branch_members, picks))
         rows = {}
         for a in members:
-            row = []
-            for b in range(p.n):
-                if b == a:
-                    row.append(diag.get(a, -1))
-                elif b in targets_plus:
-                    row.append(1)
-                else:
-                    row.append(-1)
+            row = template.copy()
+            row[a] = diag.get(a, -1)
             rows[a] = row
         yield rows
 

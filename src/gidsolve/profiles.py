@@ -9,9 +9,9 @@ both "known bit clear", told apart by the profile kind.
 
 Cell grids come in only through make_profile and the generators.
 parse_profile reads each row line of the text straight into its masks, and
-format_profile writes the text from them.  Every derived profile
-(replace_rows, with_entries, negate, the canonical extensions, completion
-enumeration) is built from new row masks.
+format_profile writes the text from them.  Every derived profile (the
+bribed and flipped profiles check_witness builds, negate, the canonical
+extensions, completion enumeration) is built from new row masks.
 
 The rows are the only eager state.  Profile.__post_init__ computes the
 diagonal views in one pass; the column views col_pos/col_known are built by
@@ -180,34 +180,6 @@ class Profile:
                 out.append((a, b))
         return out
 
-    def replace_rows(self, new_rows: dict[int, list[int]]) -> "Profile":
-        """Return a copy with whole rows rewritten; kind is unchanged."""
-        for a, values in new_rows.items():
-            _index_mask((a,), self.n)
-            if len(values) != self.n:
-                raise IndexOutOfRange("replacement row has %d cells, want %d" % (len(values), self.n))
-        row_pos = list(self.row_pos)
-        row_known = list(self.row_known)
-        for a in sorted(new_rows):
-            row_pos[a], row_known[a] = _row_masks(enumerate(new_rows[a]), a, self.kind)
-        return Profile(n=self.n, kind=self.kind, names=self.names,
-                       row_pos=tuple(row_pos), row_known=tuple(row_known))
-
-    def with_entries(self, updates: dict[tuple[int, int], int]) -> "Profile":
-        """Return a copy with individual cells rewritten; kind is unchanged."""
-        for a, b in updates:
-            _index_mask((a, b), self.n)
-        row_pos = list(self.row_pos)
-        row_known = list(self.row_known)
-        # row-major order, so a bad value is reported at its lowest cell
-        for (a, b), value in sorted(updates.items()):
-            pos, known = _row_masks(((b, value),), a, self.kind)
-            keep = ~(1 << b)
-            row_pos[a] = (row_pos[a] & keep) | pos
-            row_known[a] = (row_known[a] & keep) | known
-        return Profile(n=self.n, kind=self.kind, names=self.names,
-                       row_pos=tuple(row_pos), row_known=tuple(row_known))
-
 
 def make_profile(rows, kind: str = "binary", names=None) -> Profile:
     """Build a Profile from a square grid of +1/-1/0 cell values."""
@@ -227,28 +199,21 @@ def make_profile(rows, kind: str = "binary", names=None) -> Profile:
     for a, r in enumerate(rows):
         if len(r) != n:
             raise ParseError("row %d has %d cells, want %d" % (a, len(r), n))
-        rp, rk = _row_masks(enumerate(r), a, kind)
+        rp = rk = 0
+        for b, v in enumerate(r):
+            if v == PLUS:
+                rp |= 1 << b
+                rk |= 1 << b
+            elif v == MINUS:
+                rk |= 1 << b
+            elif v == UNKNOWN:
+                if kind == "binary":
+                    raise ParseError("binary profile cannot hold a star/unset cell")
+            else:
+                raise ParseError("bad cell value %r at (%d, %d)" % (v, a, b))
         row_pos.append(rp)
         row_known.append(rk)
     return Profile(n=n, kind=kind, names=names, row_pos=tuple(row_pos), row_known=tuple(row_known))
-
-
-def _row_masks(cells, a: int, kind: str) -> tuple[int, int]:
-    """Validate (column, value) cells of row a; return their (positive, known) masks."""
-    rp = 0
-    rk = 0
-    for b, v in cells:
-        if v == PLUS:
-            rp |= 1 << b
-            rk |= 1 << b
-        elif v == MINUS:
-            rk |= 1 << b
-        elif v == UNKNOWN:
-            if kind == "binary":
-                raise ParseError("binary profile cannot hold a star/unset cell")
-        else:
-            raise ParseError("bad cell value %r at (%d, %d)" % (v, a, b))
-    return rp, rk
 
 
 @dataclass(frozen=True)

@@ -310,7 +310,7 @@ def _columnwise_flip_cost(instance: AttackInstance, a: int, qualify: bool):
     diag = p.entry(a, a)
     plus_rows = [b for b in profiles.bits(p.col_pos[a]) if b != a]
     minus_rows = [b for b in profiles.bits(p.col_known[a] & ~p.col_pos[a]) if b != a]
-    star_rows = [b for b in range(p.n) if b != a and p.entry(b, a) == 0]
+    star_rows = [b for b in profiles.bits(profiles.full_mask(p.n) & ~p.col_known[a]) if b != a]
 
     def price(b):
         return instance.pair_price(b, a)

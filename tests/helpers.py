@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import random
+
 from gidsolve.profiles import make_profile
 
 EX1_ROWS = [
@@ -23,6 +25,11 @@ row a5 - + + - -
 
 def ex1():
     return make_profile(EX1_ROWS)
+
+
+def random_binary(n, seed):
+    rng = random.Random(seed)
+    return make_profile([[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)])
 
 
 def names(profile, indices):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gidsolve import instances
 from gidsolve.errors import (
     IndexOutOfRange,
     KindMismatch,
@@ -163,25 +164,42 @@ def test_check_witness_kind_mismatch():
         check_witness(inst, Solution.deleted(()))
 
 
-def test_check_witness_domains():
+def test_check_witness_domains(monkeypatch):
+    # each domain error with its message; none of them builds a derived profile
+    built = []
+    monkeypatch.setattr(instances, "Profile", lambda **kw: built.append(kw))
     p = ex1()
+    ternary = make_profile([[1, 0, -1], [0, 1, 1], [-1, -1, 0]], kind="ternary")
     gcdi = make_instance(p, SocialRule.consent(1, 2), "GCDI", "constructive",
                          aplus=(4,), budget=2)
-    with pytest.raises(WitnessOutOfDomain):
-        check_witness(gcdi, Solution.deleted((4,)))
     adding = gcai(p, SocialRule.consent(2, 1), aplus=(4,), pool=(0, 1, 4), budget=2)
-    with pytest.raises(WitnessOutOfDomain):
-        check_witness(adding, Solution.added((0,)))
     gmb = make_instance(p, SocialRule.consent(2, 1), "GMB", "constructive",
                         aplus=(4,), budget=2)
-    with pytest.raises(WitnessOutOfDomain):
-        check_witness(gmb, Solution.flipped({(0, 0): 1}))  # entry already +1
-    with pytest.raises(WitnessOutOfDomain):
-        check_witness(gmb, Solution.flipped({(0, 3): 0}))
     gb = make_instance(p, SocialRule.consent(2, 1), "GB", "constructive",
                        aplus=(4,), budget=2)
-    with pytest.raises(WitnessOutOfDomain):
-        check_witness(gb, Solution.bribed({0: [1, 1]}))
+    gb_ternary = make_instance(ternary, SocialRule.ternary(1, None, 1), "GB", "constructive",
+                               aplus=(0,), budget=3)
+    good = (1, -1, 1, -1, 1)
+    cases = [
+        (gcdi, Solution.deleted((4,)), "deleted individuals must avoid the target sets"),
+        (adding, Solution.added((0,)), "added individuals must come from outside the pool"),
+        (gmb, Solution.flipped({(1, 0): 1, (0, 0): 1}), "flip does not change entry (a1, a1)"),
+        (gmb, Solution.flipped({(0, 3): 0}), "flips must set +1 or -1, got 0"),
+        (gmb, Solution("flipped", flips=((0, 3, 1), (0, 3, 1))), "duplicate flip for pair (a1, a4)"),
+        (gb, Solution.bribed({0: [1, 1]}), "replacement row for a1 has 2 cells, want 5"),
+        (gb, Solution.bribed({0: good, 2: [1, -1, 0, -1, 1]}), "bad replacement cell value 0"),
+        (gb_ternary, Solution.bribed({1: [1, 0, 2]}), "bad replacement cell value 2"),
+        # hand-built rows whose key lies outside 0..n-1 and outside members
+        (gb, Solution("bribed", members=frozenset(), rows=((-1, good),)),
+         "individual index -1 out of range for n=5"),
+        (gb, Solution("bribed", members=frozenset({0}), rows=((0, good), (5, (1, 1)))),
+         "individual index 5 out of range for n=5"),
+    ]
+    for inst, sol, message in cases:
+        with pytest.raises(WitnessOutOfDomain) as err:
+            check_witness(inst, sol)
+        assert str(err.value) == message, sol
+    assert built == []
 
 
 def test_check_witness_bribery_costs():

@@ -18,12 +18,7 @@ from gidsolve.oracle import (
 from gidsolve.profiles import SocialRule, make_profile, negate
 from gidsolve.solvers import solve_cgb_xp
 
-from helpers import ex1
-
-
-def random_binary(n, seed):
-    rng = random.Random(seed)
-    return make_profile([[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)])
+from helpers import ex1, random_binary
 
 
 def random_ternary(n, seed):
@@ -362,7 +357,7 @@ def test_pqi_nqi_r_extension_missing():
         pqi_nqi_brute(p, (0,), SocialRule.consent(1, 1), r=1)
 
 
-def test_row_needs_reads_row_masks(monkeypatch):
+def test_row_needs_reads_row_pos_and_known(monkeypatch):
     calls = []
     original = profiles.Profile.entry
 

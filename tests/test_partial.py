@@ -278,7 +278,9 @@ def test_pqi_monotone_under_supporting_resolutions():
             continue
         before = pqi(profile, PartialQuery(subset, PQI), rule)
         cell = rng.choice(stars)
-        resolved = profile.with_entries({cell: 1})
+        grid = profile.rows()
+        grid[cell[0]][cell[1]] = 1
+        resolved = make_profile(grid, kind="partial")
         after = pqi(resolved, PartialQuery(subset, PQI), rule)
         assert after or not before
         checked += 1

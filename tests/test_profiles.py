@@ -22,12 +22,7 @@ from gidsolve.profiles import (
     qualification_graph,
 )
 
-from helpers import EX1_TEXT, ex1, names
-
-
-def random_binary(n, seed):
-    rng = random.Random(seed)
-    return make_profile([[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)])
+from helpers import EX1_TEXT, ex1, names, random_binary
 
 
 def test_example_consent_sets():
@@ -180,7 +175,9 @@ def test_consent_monotone_in_entries():
             for b, a in itertools.product(range(4), repeat=2):
                 if b == a or p.entry(b, a) == 1:
                     continue
-                bumped = p.with_entries({(b, a): 1})
+                grid = p.rows()
+                grid[b][a] = 1
+                bumped = make_profile(grid)
                 assert base - {a} <= eval(rule, None, bumped)
 
 
@@ -478,39 +475,19 @@ def test_rule_describe_roundtrip():
         assert profiles.parse_rule_tokens(rule.describe().split()) == rule
 
 
-def test_replace_rows_and_with_entries():
-    p = ex1()
-    q = p.replace_rows({1: [1, 1, 1, 1, 1]})
-    assert q.row(1) == [1] * 5
-    assert q.row(0) == p.row(0)
-    r = p.with_entries({(0, 3): 1, (4, 0): 1})
-    assert r.entry(0, 3) == 1 and r.entry(4, 0) == 1
-    assert r.entry(0, 0) == p.entry(0, 0)
-    with pytest.raises(ParseError):
-        p.with_entries({(0, 0): 0})  # no star in a binary profile
-    # the first bad cell in row-major order is reported, whatever the dict order
-    with pytest.raises(ParseError, match=r"^bad cell value 7 at \(1, 2\)$"):
-        p.with_entries({(3, 0): 9, (1, 4): 0, (1, 2): 7})
+def test_make_profile_reports_first_bad_cell():
+    def patched(cells):
+        grid = ex1().rows()
+        for (a, b), v in cells.items():
+            grid[a][b] = v
+        return grid
+
     with pytest.raises(ParseError, match="^binary profile cannot hold a star/unset cell$"):
-        p.with_entries({(4, 4): 5, (0, 1): 0})
+        make_profile(patched({(0, 0): 0}))
+    # the first bad cell in row-major order is reported, whatever the patch order
+    with pytest.raises(ParseError, match=r"^bad cell value 7 at \(1, 2\)$"):
+        make_profile(patched({(3, 0): 9, (1, 4): 0, (1, 2): 7}))
+    with pytest.raises(ParseError, match="^binary profile cannot hold a star/unset cell$"):
+        make_profile(patched({(4, 4): 5, (0, 1): 0}))
     with pytest.raises(ParseError, match=r"^bad cell value 'x' at \(1, 1\)$"):
-        p.replace_rows({3: [1, 1, 1, 1, 9], 1: [1, "x", 1, 1, 0]})
-    # derived profiles equal, views included, a fresh build from the patched grid
-    rng = random.Random(11)
-    for kind, values in (("binary", (1, -1)), ("ternary", (1, -1, 0)), ("partial", (1, -1, 0))):
-        for _ in range(30):
-            n = rng.randrange(1, 6)
-            base = make_profile([[rng.choice(values) for _ in range(n)] for _ in range(n)], kind=kind)
-            new_rows = {a: [rng.choice(values) for _ in range(n)]
-                        for a in rng.sample(range(n), rng.randrange(n + 1))}
-            updates = {(rng.randrange(n), rng.randrange(n)): rng.choice(values)
-                       for _ in range(rng.randrange(5))}
-            replaced = [new_rows.get(a, row) for a, row in enumerate(base.rows())]
-            flipped = base.rows()
-            for (a, b), v in updates.items():
-                flipped[a][b] = v
-            for got, grid in ((base.replace_rows(new_rows), replaced), (base.with_entries(updates), flipped)):
-                want = make_profile(grid, kind=kind, names=base.names)
-                assert got == want
-                assert (got.col_pos, got.col_known, got.diag_pos, got.diag_known) == (
-                    want.col_pos, want.col_known, want.diag_pos, want.diag_known)
+        make_profile(patched({(3, 4): 9, (1, 1): "x", (1, 4): 0}))
