@@ -280,6 +280,8 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
                 bit <<= 1
             row_pos[a] = pos
             row_known[a] = known
+        if solution.members != {a for a, _cells in solution.rows}:
+            raise WitnessOutOfDomain("bribed members must be the individuals given replacement rows")
         if instance.cost_of_agents(solution.members) > instance.budget:
             return False
         p = Profile(n=n, kind=p.kind, names=p.names, row_pos=tuple(row_pos), row_known=tuple(row_known))

@@ -6,13 +6,16 @@ where neither target side is trivially satisfied, the immunity table is
 consulted and a match short-circuits to IMMUNE.  Only then does the actual
 algorithm run.  Immunity rows are data, kept auditable as one static
 relation; so are the specialized solvers' domains, kept in SOLVERS, which
-both automatic dispatch and named calls read.
+both automatic dispatch and named calls read.  Each algorithm runs on the
+instance it is given; cgb_xp and dgb_xp are one body with a sign, and
+consent duality is what makes the destructive sign correct.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from . import profiles
 from .errors import InstanceTooLarge, PreconditionViolated
@@ -26,7 +29,6 @@ from .instances import (
     control_domain,
     effective_targets,
     hard_violations,
-    make_instance,
     start_subset,
     validate,
 )
@@ -180,59 +182,33 @@ def preflight(instance: AttackInstance) -> Verdict | None:
     return None
 
 
-def _cgb_xp(instance: AttackInstance, search: SearchBudget) -> Verdict:
-    """Constructive consent bribery with t=1.
+def _gb_xp(instance: AttackInstance, search: SearchBudget, sign: int) -> Verdict:
+    """Consent bribery whose other quota is 1: constructive with t=1 (sign +1)
+    or destructive with s=1 (sign -1).
 
-    Self-disqualifying targets must be bribed outright; beyond that it is
-    never useful to bribe more than s further individuals, all of them to
-    fully approving rows.  Prices are at least 1, so no extra set larger
-    than the remaining budget is affordable.
+    Sign +1: self-disqualifying targets in aplus must be bribed outright;
+    beyond that it is never useful to bribe more than s further individuals,
+    all of them to fully approving rows.  Prices are at least 1, so no extra
+    set larger than the remaining budget is affordable.  Sign -1 is the same
+    argument by consent duality, f^(s,t)(N, phi) = N - f^(t,s)(N, -phi):
+    disqualifying aminus under consent(1,t) is qualifying it under
+    consent(t,1) in -phi, so self-qualifying targets are forced, the quota is
+    t and every row is all -1.  Candidates are checked on the given instance.
     """
-    rule = instance.rule
     p = instance.profile
-    n = p.n
-    forced = sorted(a for a in instance.aplus if p.entry(a, a) == -1)
-    forced_set = set(forced)
-    forced_cost = instance.cost_of_agents(forced)
-    if forced_cost > instance.budget:
+    targets, quota = (instance.aplus, instance.rule.s) if sign == 1 else (instance.aminus, instance.rule.t)
+    forced = sorted(a for a in targets if p.entry(a, a) == -sign)
+    remaining = instance.budget - instance.cost_of_agents(forced)
+    if remaining < 0:
         return NO_VERDICT
-    remaining = instance.budget - forced_cost
-    pool = [b for b in range(n) if b not in forced_set]
-    all_plus = [1] * n
+    pool = [b for b in range(p.n) if b not in forced]
+    row = [sign] * p.n
     candidates = (
-        Solution.bribed({a: all_plus for a in forced + list(extra)})
-        for extra in _subsets(pool, min(rule.s, len(pool), remaining))
+        Solution.bribed({a: row for a in forced + list(extra)})
+        for extra in _subsets(pool, min(quota, len(pool), remaining))
         if instance.cost_of_agents(extra) <= remaining
     )
     return _first_witness(instance, candidates, search)
-
-
-def _dgb_xp(instance: AttackInstance, search: SearchBudget) -> Verdict:
-    """Destructive consent bribery with s=1, by sign-flip transport.
-
-    Disqualifying a set under consent(1,t) in a profile is the same task as
-    qualifying it under consent(t,1) in the negated profile; the bribed set
-    carries over and the replacement rows come back negated.  By the same
-    duality the dual passes preflight whenever the original does.
-    """
-    rule = instance.rule
-    dual = make_instance(
-        profiles.negate(instance.profile),
-        profiles.SocialRule.consent(rule.t, 1),
-        "GB",
-        "constructive",
-        aplus=instance.aminus,
-        budget=instance.budget,
-        agent_prices=dict(instance.agent_prices),
-    )
-    dual_verdict = _cgb_xp(dual, search)
-    if dual_verdict.answer != "YES":
-        return NO_VERDICT
-    rows = {a: [-v for v in cells] for a, cells in dual_verdict.witness.rows}
-    witness = Solution.bribed(rows)
-    if not check_witness(instance, witness):
-        raise PreconditionViolated("transported bribery witness failed verification")
-    return Verdict("YES", witness=witness)
 
 
 def _gcdi_22(instance: AttackInstance, search: SearchBudget) -> Verdict:
@@ -448,51 +424,45 @@ def build_ilp_model(instance: AttackInstance) -> IlpModel:
 
 
 def solve_ilp_model(model: IlpModel, node_limit: int | None = None):
-    """Depth-first search over group counts with simple capacity pruning."""
+    """Depth-first search over group counts with simple capacity pruning.
+
+    The search carries each lower row's remaining need and each upper row's
+    remaining room, and prunes a node when a need exceeds what the later
+    groups and the budget left can still supply, or a room is below 0.  At
+    j = k the later groups supply nothing, so a node past the prune there is
+    a solution.
+    """
     k = len(model.betas)
-    lower = list(model.lower_rows)
-    upper = list(model.upper_rows)
-    suffix_cap = [[0] * (k + 1) for _ in lower]
-    for row, (idx, _rhs) in enumerate(lower):
+    counts = model.counts
+    lower_idx = [idx for idx, _rhs in model.lower_rows]
+    upper_idx = [idx for idx, _rhs in model.upper_rows]
+    supply = []  # supply[row][j]: the most groups j..k-1 can add to a lower row
+    for idx in lower_idx:
+        supply.append([0] * (k + 1))
         for j in range(k - 1, -1, -1):
-            add = model.counts[j] if j in idx else 0
-            suffix_cap[row][j] = suffix_cap[row][j + 1] + add
+            supply[-1][j] = supply[-1][j + 1] + (counts[j] if j in idx else 0)
     assignment = [0] * k
     nodes = 0
 
-    def feasible_so_far(j, spent):
-        for row, (idx, rhs) in enumerate(lower):
-            have = sum(assignment[i] for i in idx if i < j)
-            headroom = min(suffix_cap[row][j], model.budget - spent)
-            if have + headroom < rhs:
-                return False
-        for idx, rhs in upper:
-            have = sum(assignment[i] for i in idx if i < j)
-            if have > rhs:
-                return False
-        return True
-
-    def dfs(j, spent):
+    def dfs(j, left, need, room):
         nonlocal nodes
         nodes += 1
         if node_limit is not None and nodes > node_limit:
             raise InstanceTooLarge("ilp search exceeded node limit %d" % node_limit)
-        if not feasible_so_far(j, spent):
+        if any(min(cap[j], left) < x for cap, x in zip(supply, need)) or any(x < 0 for x in room):
             return None
         if j == k:
-            for idx, rhs in lower:
-                if sum(assignment[i] for i in idx) < rhs:
-                    return None
             return list(assignment)
-        for value in range(0, min(model.counts[j], model.budget - spent) + 1):
+        for value in range(min(counts[j], left) + 1):
             assignment[j] = value
-            found = dfs(j + 1, spent + value)
+            found = dfs(j + 1, left - value,
+                        [x - value if j in idx else x for x, idx in zip(need, lower_idx)],
+                        [x - value if j in idx else x for x, idx in zip(room, upper_idx)])
             if found is not None:
                 return found
-            assignment[j] = 0
         return None
 
-    return dfs(0, 0)
+    return dfs(0, model.budget, [rhs for _idx, rhs in model.lower_rows], [rhs for _idx, rhs in model.upper_rows])
 
 
 FPT_BETA_CAP = 4096  # opinion signatures fpt_ilp will group before refusing
@@ -556,13 +526,13 @@ SOLVERS = (
          "this algorithm handles constructive GB only"),
         (lambda i: i.rule.variant == "consent" and i.rule.t == 1,
          "this algorithm needs a consent rule with t=1"),
-    ), _cgb_xp),
+    ), partial(_gb_xp, sign=1)),
     SolverSpec("dgb_xp", (
         (lambda i: i.family == "GB" and i.objective == "destructive",
          "this algorithm handles destructive GB only"),
         (lambda i: i.rule.variant == "consent" and i.rule.s == 1,
          "this algorithm needs a consent rule with s=1"),
-    ), _dgb_xp),
+    ), partial(_gb_xp, sign=-1)),
     SolverSpec("gcdi_22", (
         (lambda i: i.family == "GCDI", "this algorithm handles GCDI only"),
         _NO_EXACT_DELETION,

@@ -216,6 +216,27 @@ def test_negative_node_limit_is_config_error(capsys, tmp_path):
         assert run(capsys, argv + ["--limit-nodes", "-1"])[0] == 2
 
 
+def refuse_partial(capsys, tmp_path, extra):
+    # two unknowns per row: 2^4 r-extensions at r=2, 2^8 extensions without r
+    profile = tmp_path / "p.gid"
+    profile.write_text("gid v1\nkind partial\nn 4\nrow a1 + ? ? -\nrow a2 ? + - ?\n"
+                       "row a3 - ? + ?\nrow a4 ? - ? +\n")
+    code, out, err = run(capsys, ["partial", str(profile), "--mode", "pqi", "--subset", "a1"] + extra)
+    assert code == 5
+    assert out == ""
+    return err
+
+
+def test_partial_r_enumeration_refused(capsys, tmp_path):
+    err = refuse_partial(capsys, tmp_path, ["--rule", "csr", "--r", "2", "--limit-nodes", "3"])
+    assert err == "error\tInstanceTooLarge\t16 r-extensions exceed node limit 3\n"
+
+
+def test_partial_xval_enumeration_refused(capsys, tmp_path):
+    err = refuse_partial(capsys, tmp_path, ["--rule", "consent:2,1", "--xval", "--limit-nodes", "1"])
+    assert err == "error\tInstanceTooLarge\t2^8 extensions exceed node limit 1\n"
+
+
 def test_solve_invalid_instance(capsys, tmp_path):
     (tmp_path / "p.gid").write_text(EX1_TEXT)
     bad = tmp_path / "bad.gidinst"

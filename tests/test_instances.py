@@ -116,6 +116,24 @@ def test_validate_nontriviality_warnings():
     assert hard_violations(validate(trivial_plus)) == []
 
 
+def test_validate_names_each_violation():
+    p = ex1()
+    ternary = make_profile([[1, 0], [-1, 1]], kind="ternary")
+    rule = SocialRule.consent(2, 1)
+    cases = [
+        (make_instance(p, rule, "WAT", "constructive", aplus=(4,), budget=1), "UnknownFamily"),
+        (make_instance(p, rule, "GB", "wat", aplus=(4,), budget=1), "UnknownObjective"),
+        (make_instance(p, rule, "GB", "constructive", aplus=(4,), budget=1, pair_prices={(0, 1): 2}),
+         "PairPricesNotAllowed"),
+        (make_instance(ternary, SocialRule.ternary(1, None, 1), "GB", "constructive", aplus=(0,),
+                       budget=1, r_restriction=1), "RRestrictionViolated"),
+        (make_instance(p, rule, "GB", "constructive", aplus=(4,), budget=1, r_restriction=0),
+         "RRestrictionViolated"),
+    ]
+    for inst, name in cases:
+        assert name in validate(inst), name
+
+
 def test_make_instance_checks_ranges():
     with pytest.raises(IndexOutOfRange):
         gcai(ex1(), SocialRule.consent(2, 1), aplus=(7,), budget=1)
@@ -179,6 +197,7 @@ def test_check_witness_domains(monkeypatch):
                        aplus=(4,), budget=2)
     gb_ternary = make_instance(ternary, SocialRule.ternary(1, None, 1), "GB", "constructive",
                                aplus=(0,), budget=3)
+    free = make_instance(p, SocialRule.consent(3, 1), "GB", "constructive", aplus=(0,), budget=0)
     good = (1, -1, 1, -1, 1)
     cases = [
         (gcdi, Solution.deleted((4,)), "deleted individuals must avoid the target sets"),
@@ -194,6 +213,9 @@ def test_check_witness_domains(monkeypatch):
          "individual index -1 out of range for n=5"),
         (gb, Solution("bribed", members=frozenset({0}), rows=((0, good), (5, (1, 1)))),
          "individual index 5 out of range for n=5"),
+        # rows for a2 and a3 but no members: they would be bribed for free
+        (free, Solution("bribed", members=frozenset(), rows=((1, (1,) * 5), (2, (1,) * 5))),
+         "bribed members must be the individuals given replacement rows"),
     ]
     for inst, sol, message in cases:
         with pytest.raises(WitnessOutOfDomain) as err:
@@ -420,6 +442,22 @@ def test_parse_rejects_malformed():
     for text in bad:
         with pytest.raises(ParseError):
             parse_instance(text, good_resolver)
+
+
+def test_parse_reports_bad_lines():
+    head = "gidinst v1\nproblem GB\nobjective constructive\nrule csr\n"
+    cases = [
+        (head + "profile\naplus\naminus\nbudget 1\n", "bad profile line"),
+        (head + "profile p q\naplus\naminus\nbudget 1\n", "bad profile line"),
+        (head + "profile p\naplus\naminus\nbudget 1 2\n", "bad budget line"),
+        (head + "profile p\naplus\naminus\nbudget 1\nr 1 2\n", "bad r line"),
+        (head + "profile p\naplus\naminus\nbudget 1\nagentprice a1\n", "bad agentprice line"),
+        (head + "profile p\naplus\naminus\nbudget 1\npairprice a1 a2\n", "bad pairprice line"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_instance(text, lambda ref: EX1_TEXT)
+        assert str(err.value) == message, text
 
 
 # -- check_witness against a frozenset reference ----------------------------

@@ -427,7 +427,7 @@ def test_dgb_golden_bribes_target_itself():
     assert got.answer == "YES"
     assert got.witness.members == frozenset({0})
     assert got.witness.rows == ((0, (-1, -1, -1, -1, -1)),)
-    # the dual cgb search ticks the node counter once per candidate
+    # the search ticks the node counter once per candidate
     with pytest.raises(InstanceTooLarge):
         solve_dgb_xp(instance, SearchBudget(node_limit=0))
 
@@ -458,6 +458,41 @@ def test_dgb_matches_oracle():
                                  aminus=aminus, budget=rng.randrange(0, n + 1),
                                  agent_prices=prices)
         assert_matches_brute(instance, solve_dgb_xp, solve_bribery_brute)
+
+
+def test_dgb_prices_repeated_key_like_the_oracle():
+    # a price list naming a1 twice keeps the first price after sorting (1),
+    # in dgb_xp as in check_witness and the oracle
+    p = profiles.make_profile([[1, 1], [1, 1]])
+    instance = make_instance(p, consent(1, 1), "GB", "destructive", aminus=(0,), budget=1,
+                             agent_prices=[(0, 5), (0, 1)])
+    want = solve_bribery_brute(instance)
+    assert want.answer == "YES" and want.witness.members == frozenset({0})
+    assert solve_dgb_xp(instance) == want
+    assert solve_auto(instance) == (want, "dgb_xp")
+
+
+def test_gb_consent_duality_past_the_oracle():
+    # constructive consent(s,1) on phi with aplus A answers as destructive
+    # consent(1,s) on -phi with aminus A: same members, negated rows
+    rng = random.Random(1207)
+    for _ in range(40):
+        n = rng.randint(10, 16)
+        p = random_binary(rng, n)
+        s = rng.randint(1, 4)
+        targets = rng.sample(range(n), rng.randint(1, 3))
+        budget = rng.randint(0, 3)
+        prices = {a: rng.randint(1, 3) for a in rng.sample(range(n), n // 2)} if rng.random() < 0.5 else None
+        cgb = make_instance(p, consent(s, 1), "GB", "constructive", aplus=targets,
+                            budget=budget, agent_prices=prices)
+        dgb = make_instance(profiles.negate(p), consent(1, s), "GB", "destructive", aminus=targets,
+                            budget=budget, agent_prices=prices)
+        (got, name), (dual, dual_name) = solve_auto(cgb), solve_auto(dgb)
+        assert (name, dual_name) in (("cgb_xp", "dgb_xp"), ("trivial", "trivial"))
+        assert got.answer == dual.answer
+        if got.answer == "YES":
+            assert dual.witness.members == got.witness.members
+            assert dual.witness.rows == tuple((a, tuple(-v for v in row)) for a, row in got.witness.rows)
 
 
 # deletion control under consent(2,2)
