@@ -62,10 +62,15 @@ class AttackInstance:
     # price, as a scan of the tuple would
     _agent_price_of: dict = field(init=False, compare=False, repr=False)
     _pair_price_of: dict = field(init=False, compare=False, repr=False)
+    # effective_targets as (constructive, destructive) masks, built by
+    # __post_init__ for the judge's target test
+    _target_masks: tuple[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_agent_price_of", dict(reversed(self.agent_prices)))
         object.__setattr__(self, "_pair_price_of", dict(reversed(self.pair_prices)))
+        plus, minus = effective_targets(self)
+        object.__setattr__(self, "_target_masks", (mask_of(plus), mask_of(minus)))
 
     def agent_price(self, a: int) -> int:
         return self._agent_price_of.get(a, 1)
@@ -113,18 +118,19 @@ def make_instance(
     aplus = check_set(aplus)
     aminus = check_set(aminus)
     pool = None if pool is None else check_set(pool)
-    ap = ()
+    # sorted, one entry per key: a key listed twice keeps the first price
+    # after the sort, the one every lookup reads, so format_instance writes
+    # each key once
+    ap = {}
     if agent_prices:
-        items = sorted(agent_prices.items() if hasattr(agent_prices, "items") else agent_prices)
-        for a, _price in items:
+        for a, price in sorted(agent_prices.items() if hasattr(agent_prices, "items") else agent_prices):
             check_set((a,))
-        ap = tuple(items)
-    pp = ()
+            ap.setdefault(a, price)
+    pp = {}
     if pair_prices:
-        items = sorted(pair_prices.items() if hasattr(pair_prices, "items") else pair_prices)
-        for (a, b), _price in items:
+        for (a, b), price in sorted(pair_prices.items() if hasattr(pair_prices, "items") else pair_prices):
             check_set((a, b))
-        pp = tuple(items)
+            pp.setdefault((a, b), price)
     return AttackInstance(
         profile=profile,
         rule=rule,
@@ -134,8 +140,8 @@ def make_instance(
         aminus=aminus,
         pool=pool,
         budget=budget,
-        agent_prices=ap,
-        pair_prices=pp,
+        agent_prices=tuple(ap.items()),
+        pair_prices=tuple(pp.items()),
         r_restriction=r_restriction,
     )
 
@@ -221,18 +227,55 @@ def control_domain(instance: AttackInstance) -> list[int]:
     return sorted(frozenset(range(instance.profile.n)) - fixed)
 
 
+def _flipped_rows(profile: Profile, flips) -> dict[int, tuple[int, int]]:
+    """The new (pos, known) masks of the rows flips change; each flip
+    (a, b, v) sets entry (a, b) to v, +1 or -1."""
+    rows = {}
+    for a, b, v in flips:
+        bit = 1 << b
+        pos, known = rows.get(a, (profile.row_pos[a], profile.row_known[a]))
+        rows[a] = (pos | bit if v == 1 else pos & ~bit, known | bit)
+    return rows
+
+
+def _judge(instance: AttackInstance):
+    """The judgement core: judge(population, profile) -> bool for this instance.
+
+    check_witness and the oracles' search loop (oracle._first_witness) both
+    decide through it.  Building the judge runs the one applicability check;
+    every profile judged is the instance's or one derived from it with the
+    same n and kind, so that check covers every evaluation eval_mask makes.
+    For a partition the population is the left part U, and the winners of
+    both parts, f(U) | f(N - U), go to a final round.  The rule's result on
+    the population must hold every constructive target and no destructive
+    one.
+    """
+    rule = instance.rule
+    ensure_applicable(rule, instance.profile)
+    plus, minus = instance._target_masks
+    partition = instance.family == "GCPI"
+    full = full_mask(instance.profile.n) if partition else 0
+
+    def judge(population: int, profile: Profile) -> bool:
+        if partition:
+            population = eval_mask(rule, population, profile) | eval_mask(rule, full & ~population, profile)
+        final = eval_mask(rule, population, profile)
+        return not (plus & ~final) and not (minus & final)
+
+    return judge
+
+
 def check_witness(instance: AttackInstance, solution: Solution) -> bool:
     """Ground-truth witness check: domain, cost bound, and final evaluation.
 
     Each kind's branch checks the witness against its domain and the budget,
     and yields the population mask (and, for bribery and microbribery, the
-    derived profile) the witness leads to.  The derived profile's row masks
-    are built in the same pass that validates the replacement rows or
-    flips.  Only then is rule applicability
-    checked, once: derived profiles keep n and kind, so the one check covers
-    every evaluation, and an over-budget witness is False without it.  The
-    rule is evaluated on masks (eval_mask), and the targets are tested
-    against the final mask.
+    profile Profile._derive makes from the replacement rows' masks, read in
+    the pass that validates the cells, or from the rows the flips change).
+    An over-budget witness is False without an applicability check.  The
+    rest is the judgement core _judge, the same one the oracles search with:
+    the one applicability check, the rule on masks (eval_mask), and the
+    targets tested against the final mask.
     """
     if FAMILY_KIND.get(instance.family) != solution.kind:
         raise KindMismatch(
@@ -261,8 +304,7 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
         population = _index_mask(solution.members, n, WitnessOutOfDomain)  # the left part U
     elif solution.kind == "bribed":
         _index_mask(solution.members, n, WitnessOutOfDomain)
-        row_pos = list(p.row_pos)
-        row_known = list(p.row_known)
+        changed = {}
         for a, cells in solution.rows:
             _index_mask((a,), n, WitnessOutOfDomain)
             if len(cells) != n:
@@ -278,18 +320,15 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
                 elif not (v == 0 and p.kind == "ternary"):
                     raise WitnessOutOfDomain("bad replacement cell value %r" % (v,))
                 bit <<= 1
-            row_pos[a] = pos
-            row_known[a] = known
-        if solution.members != {a for a, _cells in solution.rows}:
+            changed[a] = (pos, known)
+        if solution.members != changed.keys():
             raise WitnessOutOfDomain("bribed members must be the individuals given replacement rows")
         if instance.cost_of_agents(solution.members) > instance.budget:
             return False
-        p = Profile(n=n, kind=p.kind, names=p.names, row_pos=tuple(row_pos), row_known=tuple(row_known))
+        p = p._derive(changed)
         population = full
     elif solution.kind == "flipped":
         seen = set()
-        row_pos = list(p.row_pos)
-        row_known = list(p.row_known)
         for a, b, v in solution.flips:
             _index_mask((a, b), n, WitnessOutOfDomain)
             if (a, b) in seen:
@@ -299,27 +338,13 @@ def check_witness(instance: AttackInstance, solution: Solution) -> bool:
                 raise WitnessOutOfDomain("flips must set +1 or -1, got %r" % (v,))
             if p.entry(a, b) == v:
                 raise WitnessOutOfDomain("flip does not change entry (%s, %s)" % (p.names[a], p.names[b]))
-            bit = 1 << b
-            row_known[a] |= bit
-            if v == 1:
-                row_pos[a] |= bit
-            else:
-                row_pos[a] &= ~bit
         if instance.cost_of_pairs(solution.flip_pairs()) > instance.budget:
             return False
-        p = Profile(n=n, kind=p.kind, names=p.names, row_pos=tuple(row_pos), row_known=tuple(row_known))
+        p = p._derive(_flipped_rows(p, solution.flips))
         population = full
     else:
         raise KindMismatch("unknown solution kind: %s" % solution.kind)
-    rule = instance.rule
-    # the one applicability check; eval_mask below relies on it
-    ensure_applicable(rule, p)
-    if solution.kind == "partition":
-        # the winners of both parts, V = f(U) | f(N - U), go to a final round
-        population = eval_mask(rule, population, p) | eval_mask(rule, full & ~population, p)
-    final = eval_mask(rule, population, p)
-    plus, minus = effective_targets(instance)
-    return not (mask_of(plus) & ~final) and not (mask_of(minus) & final)
+    return _judge(instance)(population, p)
 
 
 def validate(instance: AttackInstance) -> list[str]:

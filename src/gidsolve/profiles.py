@@ -9,15 +9,19 @@ both "known bit clear", told apart by the profile kind.
 
 Cell grids come in only through make_profile and the generators.
 parse_profile reads each row line of the text straight into its masks, and
-format_profile writes the text from them.  Every derived profile (the
-bribed and flipped profiles check_witness builds, negate, the canonical
-extensions, completion enumeration) is built from new row masks.
+format_profile writes the text from them.  Every derived profile is built
+from new row masks: negate, the canonical extensions and completion
+enumeration build whole profiles, and the bribed and flipped profiles that
+check_witness and the oracles judge come from Profile._derive, which
+replaces only the changed rows.
 
 The rows are the only eager state.  Profile.__post_init__ computes the
 diagonal views in one pass; the column views col_pos/col_known are built by
 Profile._columns the first time a consent/ternary evaluation or a solver
-reads them, and kept.  csr and lsr read rows only: a member joins once an
-already qualified member approves them, so each round is an OR of rows.
+reads them, and kept.  A profile from _derive whose parent has its column
+views patches them at the replaced rows instead of transposing every row.
+csr and lsr read rows only: a member joins once an already qualified member
+approves them, so each round is an OR of rows.
 """
 
 from __future__ import annotations
@@ -86,6 +90,9 @@ class Profile:
     # them; csr/lsr never read them
     _col_views: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
         init=False, compare=False, repr=False, default=None)
+    # (parent, mask of the rows _derive replaced) until _columns has built the
+    # views; None for a profile not made by _derive
+    _origin: tuple[Profile, int] | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         dpos = 0
@@ -98,35 +105,71 @@ class Profile:
         object.__setattr__(self, "diag_pos", dpos)
         object.__setattr__(self, "diag_known", dknown)
 
-    def _columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Return (col_pos, col_known), transposing the rows on the first call.
+    def _derive(self, changed: dict[int, tuple[int, int]]) -> Profile:
+        """This profile with the rows in changed (row -> (pos, known) masks)
+        replaced; the same profile when nothing changes.
 
-        The views are a pure function of the rows, so two racing first calls
-        only build the same tuples twice.
+        The one way a bribed or flipped profile is made.  It keeps n, kind and
+        names, and remembers this profile, so _columns can patch its column
+        views instead of transposing every row.
+        """
+        if not changed:
+            return self
+        row_pos = list(self.row_pos)
+        row_known = list(self.row_known)
+        replaced = 0
+        for a, (pos, known) in changed.items():
+            row_pos[a] = pos
+            row_known[a] = known
+            replaced |= 1 << a
+        derived = Profile(n=self.n, kind=self.kind, names=self.names,
+                          row_pos=tuple(row_pos), row_known=tuple(row_known))
+        object.__setattr__(derived, "_origin", (self, replaced))
+        return derived
+
+    def _columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Return (col_pos, col_known), building them on the first call.
+
+        The only place column views are made.  A profile from _derive whose
+        parent has its views starts from them with the replaced rows' bits
+        cleared and writes only those rows in; any other profile transposes
+        every row.  The views are a pure function of the rows, so two racing
+        first calls only build the same tuples twice.
         """
         views = self._col_views
         if views is None:
             n = self.n
             full = full_mask(n)
-            cpos = [0] * n
-            cknown = [full] * n
+            origin = self._origin
+            if origin is not None and origin[0]._col_views is not None:
+                (parent_pos, parent_known), rows = origin[0]._col_views, origin[1]
+                keep = ~rows
+                cpos = [c & keep for c in parent_pos]
+                cknown = [c | rows for c in parent_known]
+            else:
+                rows = full
+                cpos = [0] * n
+                cknown = [full] * n
             bit = 1
             # bits() inlined: this transpose dominates a consent evaluation of
             # a fresh profile
             for rp, rk in zip(self.row_pos, self.row_known):
-                while rp:
-                    low = rp & -rp
-                    cpos[low.bit_length() - 1] |= bit
-                    rp ^= low
-                # binary profiles have no unknown cells, so this loop is empty
-                missing = full & ~rk
-                while missing:
-                    low = missing & -missing
-                    cknown[low.bit_length() - 1] &= ~bit
-                    missing ^= low
+                if rows & bit:
+                    while rp:
+                        low = rp & -rp
+                        cpos[low.bit_length() - 1] |= bit
+                        rp ^= low
+                    # binary profiles have no unknown cells, so this loop is empty
+                    missing = full & ~rk
+                    while missing:
+                        low = missing & -missing
+                        cknown[low.bit_length() - 1] &= ~bit
+                        missing ^= low
                 bit <<= 1
             views = (tuple(cpos), tuple(cknown))
             object.__setattr__(self, "_col_views", views)
+            if origin is not None:
+                object.__setattr__(self, "_origin", None)
         return views
 
     @property

@@ -193,7 +193,8 @@ def _gb_xp(instance: AttackInstance, search: SearchBudget, sign: int) -> Verdict
     argument by consent duality, f^(s,t)(N, phi) = N - f^(t,s)(N, -phi):
     disqualifying aminus under consent(1,t) is qualifying it under
     consent(t,1) in -phi, so self-qualifying targets are forced, the quota is
-    t and every row is all -1.  Candidates are checked on the given instance.
+    t and every row is all -1.  Each candidate is the bribed rows' masks,
+    judged on the given instance.
     """
     p = instance.profile
     targets, quota = (instance.aplus, instance.rule.s) if sign == 1 else (instance.aminus, instance.rule.t)
@@ -202,9 +203,10 @@ def _gb_xp(instance: AttackInstance, search: SearchBudget, sign: int) -> Verdict
     if remaining < 0:
         return NO_VERDICT
     pool = [b for b in range(p.n) if b not in forced]
-    row = [sign] * p.n
+    full = profiles.full_mask(p.n)
+    row = (full if sign == 1 else 0, full)
     candidates = (
-        Solution.bribed({a: row for a in forced + list(extra)})
+        dict.fromkeys(forced + list(extra), row)
         for extra in _subsets(pool, min(quota, len(pool), remaining))
         if instance.cost_of_agents(extra) <= remaining
     )

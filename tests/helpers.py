@@ -2,7 +2,7 @@
 
 import random
 
-from gidsolve.profiles import make_profile
+from gidsolve.profiles import SocialRule, make_profile
 
 EX1_ROWS = [
     [1, 1, 1, -1, 1],
@@ -34,3 +34,13 @@ def random_binary(n, seed):
 
 def names(profile, indices):
     return sorted(profile.names[i] for i in indices)
+
+
+def valid_rules(n, kind):
+    """Rules applicable to an n-individual profile of the kind: every valid
+    consent (s, t), csr, lsr and a ternary rule on binary profiles; a spread
+    of ternary quotas on ternary ones."""
+    if kind == "ternary":
+        return [SocialRule.ternary(s, sp, t) for s in (1, 2) for sp in (None, 1, 2) for t in (1, 2)]
+    consent = [SocialRule.consent(s, t) for s in range(1, n + 2) for t in range(1, n + 3 - s)]
+    return consent + [SocialRule.csr(), SocialRule.lsr(), SocialRule.ternary(2, None, 1)]

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from gidsolve import instances
 from gidsolve.errors import (
     IndexOutOfRange,
     KindMismatch,
@@ -26,9 +25,9 @@ from gidsolve.instances import (
     parse_instance,
     validate,
 )
-from gidsolve.profiles import Profile, SocialRule, default_names, make_profile, negate
+from gidsolve.profiles import Profile, SocialRule, default_names, format_profile, make_profile, negate
 
-from helpers import EX1_TEXT, ex1
+from helpers import EX1_TEXT, ex1, valid_rules
 
 
 def gcai(profile, rule, aplus=(), aminus=(), pool=None, budget=0, **kw):
@@ -185,7 +184,7 @@ def test_check_witness_kind_mismatch():
 def test_check_witness_domains(monkeypatch):
     # each domain error with its message; none of them builds a derived profile
     built = []
-    monkeypatch.setattr(instances, "Profile", lambda **kw: built.append(kw))
+    monkeypatch.setattr(Profile, "_derive", lambda self, changed: built.append(changed))
     p = ex1()
     ternary = make_profile([[1, 0, -1], [0, 1, 1], [-1, -1, 0]], kind="ternary")
     gcdi = make_instance(p, SocialRule.consent(1, 2), "GCDI", "constructive",
@@ -412,6 +411,25 @@ def test_parse_prices_and_r():
     assert format_instance(inst2, "p.gid") == r_text
 
 
+def test_repeated_price_keys_round_trip():
+    # a key listed twice keeps the first price after sorting, written once
+    p = make_profile([[1, 1], [1, 1]])
+    gb = make_instance(p, SocialRule.consent(1, 1), "GB", "destructive", aminus=(0,), budget=1,
+                       agent_prices=[(0, 5), (1, 2), (0, 1)])
+    gmb = make_instance(p, SocialRule.consent(1, 1), "GMB", "destructive", aminus=(0,), budget=1,
+                        pair_prices=[((0, 1), 4), ((1, 0), 2), ((0, 1), 3)])
+    assert gb.agent_prices == ((0, 1), (1, 2))
+    assert gmb.pair_prices == (((0, 1), 3), ((1, 0), 2))
+    text = format_profile(p)
+    for inst in (gb, gmb):
+        again = parse_instance(format_instance(inst, "p.gid"), lambda ref: text)
+        assert again == inst
+        assert [again.agent_price(a) for a in range(2)] == [inst.agent_price(a) for a in range(2)]
+        assert [again.pair_price(a, b) for a in range(2) for b in range(2)] == [
+            inst.pair_price(a, b) for a in range(2) for b in range(2)]
+    assert gb.agent_price(0) == 1 and gmb.pair_price(0, 1) == 3
+
+
 def test_parse_gcpi_has_no_budget():
     text = (
         "gidinst v1\n"
@@ -530,13 +548,6 @@ def _reference_check(inst, sol):
     return constructive_ok and destructive_ok
 
 
-def _rules_for(n, kind):
-    if kind == "ternary":
-        return [SocialRule.ternary(s, sp, t) for s in (1, 2) for sp in (None, 1, 2) for t in (1, 2)]
-    consent = [SocialRule.consent(s, t) for s in range(1, n + 2) for t in range(1, n + 3 - s)]
-    return consent + [SocialRule.csr(), SocialRule.lsr(), SocialRule.ternary(2, None, 1)]
-
-
 def _random_case(rng, p, rule, family, objective):
     """A random instance of the shape and one in-domain witness for it; the
     budget may be too small for the witness."""
@@ -579,7 +590,7 @@ def test_check_witness_matches_reference_exhaustively():
     rng = random.Random(8)
     step = 0
     for n in range(4):
-        rules = _rules_for(n, "binary")
+        rules = valid_rules(n, "binary")
         full = (1 << n) - 1
         for value in range(2 ** (n * n)):
             p = Profile(n=n, kind="binary", names=default_names(n),
@@ -599,7 +610,7 @@ def test_check_witness_matches_reference_random():
         kind = rng.choice(("binary", "binary", "ternary"))
         cells = (1, -1, 0) if kind == "ternary" else (1, -1)
         p = make_profile([[rng.choice(cells) for _ in range(n)] for _ in range(n)], kind=kind)
-        rule = rng.choice(_rules_for(n, kind))
+        rule = rng.choice(valid_rules(n, kind))
         inst, sol = _random_case(rng, p, rule, rng.choice(FAMILY_ORDER), rng.choice(OBJECTIVES))
         assert check_witness(inst, sol) is _reference_check(inst, sol), (inst, sol)
 

@@ -1,13 +1,23 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from gidsolve import partial, profiles
+from gidsolve import oracle, partial, profiles, solvers
 from gidsolve.errors import InstanceTooLarge, InvalidR, NoRExtension, PreconditionViolated, WrongKind
-from gidsolve.generators import gen_rx3c_no, rx3c_to_cgb
-from gidsolve.instances import Solution, check_witness, make_instance, validate
+from gidsolve.generators import gen_rx3c, gen_rx3c_no, rx3c_to_cgb
+from gidsolve.instances import (
+    FAMILY_KIND,
+    NO_VERDICT,
+    OBJECTIVES,
+    Solution,
+    check_witness,
+    make_instance,
+    validate,
+)
 from gidsolve.oracle import (
+    DEFAULT_SEARCH,
     SearchBudget,
     pqi_nqi_brute,
     row_needs,
@@ -15,10 +25,10 @@ from gidsolve.oracle import (
     solve_control_brute,
     solve_microbribery_brute,
 )
-from gidsolve.profiles import SocialRule, make_profile, negate
-from gidsolve.solvers import solve_cgb_xp
+from gidsolve.profiles import Profile, SocialRule, make_profile, negate
+from gidsolve.solvers import ORACLE_FOR_FAMILY, ORACLES, solve_cgb_xp
 
-from helpers import ex1, random_binary
+from helpers import ex1, random_binary, valid_rules
 
 
 def random_ternary(n, seed):
@@ -494,3 +504,196 @@ def test_oracles_skip_public_eval(monkeypatch):
         assert pqi_nqi_brute(partial_p, (0, 1), rule) == (True, False), rule
         pqi_nqi_brute(one_each, (0,), rule, r=1)
         assert calls == [], rule
+
+
+def _search_candidates(instance):
+    """Every candidate the family's oracle, and the cgb_xp/dgb_xp search where
+    its quota condition holds, hands the search loop, in order."""
+    seen = []
+
+    def record(inst, candidates, search):
+        seen.extend(candidates)
+        return NO_VERDICT
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_first_witness", record)
+        m.setattr(solvers, "_first_witness", record)
+        ORACLES[ORACLE_FOR_FAMILY[instance.family]](instance)
+        rule = instance.rule
+        if instance.family == "GB" and rule.variant == "consent":
+            if rule.t == 1:
+                solvers._gb_xp(instance, DEFAULT_SEARCH, 1)
+            if rule.s == 1:
+                solvers._gb_xp(instance, DEFAULT_SEARCH, -1)
+    return seen
+
+
+def _assert_judge_agrees(instance):
+    # the mask judge, through the real search loop on one candidate, against
+    # check_witness on the Solution that candidate converts to; check_witness
+    # gets a copy of the profile without column views, so its derived
+    # profiles transpose from scratch while the search patches its own
+    p = instance.profile
+    kind = FAMILY_KIND[instance.family]
+    p._columns()
+    count = 0
+    for candidate in _search_candidates(instance):
+        verdict = oracle._first_witness(instance, iter([candidate]), DEFAULT_SEARCH)
+        derived = p._derive(candidate) if kind in ("bribed", "flipped") else p
+        solution = oracle._solution_of(instance, kind, candidate, derived)
+        copy = Profile(n=p.n, kind=p.kind, names=p.names, row_pos=p.row_pos, row_known=p.row_known)
+        expected = check_witness(dataclasses.replace(instance, profile=copy), solution)
+        assert (verdict.answer == "YES") is expected, (instance, candidate)
+        if expected:
+            assert verdict.witness == solution
+        count += 1
+    return count
+
+
+def _agreement_instance(rng, p, rule, family, objective, priced):
+    n = p.n
+    some = lambda domain: [x for x in domain if rng.random() < 0.5]
+    aplus = some(range(n))
+    aminus = some(x for x in range(n) if x not in aplus)
+    if objective == "exact":
+        aminus = [x for x in range(n) if x not in aplus]
+    pool = sorted(set(aplus + aminus + some(range(n)))) if family == "GCAI" else None
+    budget = None if family == "GCPI" else rng.randint(0, n)
+    agent_prices = {a: rng.randint(1, 3) for a in some(range(n))} if priced and family == "GB" else None
+    pair_prices = ({(a, b): rng.randint(1, 3) for a in range(n) for b in range(n) if rng.random() < 0.4}
+                   if priced and family == "GMB" else None)
+    return make_instance(p, rule, family, objective, aplus=aplus, aminus=aminus, pool=pool, budget=budget,
+                         agent_prices=agent_prices, pair_prices=pair_prices)
+
+
+FAMILIES = ("GCAI", "GCDI", "GCPI", "GB", "GMB")
+
+
+def test_mask_judge_matches_check_witness_exhaustively():
+    # every binary profile at n <= 3; per profile each family once, the
+    # objective and the rule (every valid consent (s, t), csr, lsr and
+    # ternary) cycling, a seeded budget in 0..n, a third of them priced
+    rng = random.Random(1313)
+    step = 0
+    judged = 0
+    for n in range(4):
+        rules = valid_rules(n, "binary")
+        full = (1 << n) - 1
+        for value in range(2 ** (n * n)):
+            p = Profile(n=n, kind="binary", names=profiles.default_names(n),
+                        row_pos=tuple((value >> (a * n)) & full for a in range(n)), row_known=(full,) * n)
+            for family in FAMILIES:
+                inst = _agreement_instance(rng, p, rules[step % len(rules)], family, OBJECTIVES[step % 4],
+                                           step % 3 == 0)
+                step += 1
+                judged += _assert_judge_agrees(inst)
+    assert judged > 20_000
+
+
+def test_mask_judge_matches_check_witness_random():
+    # n 4-6, binary and ternary profiles, half of them priced
+    rng = random.Random(1314)
+    for _ in range(150):
+        n = rng.randint(4, 6)
+        kind = rng.choice(("binary", "ternary"))
+        cells = (1, -1, 0) if kind == "ternary" else (1, -1)
+        p = make_profile([[rng.choice(cells) for _ in range(n)] for _ in range(n)], kind=kind)
+        family = rng.choice(FAMILIES)
+        inst = _agreement_instance(rng, p, rng.choice(valid_rules(n, kind)), family,
+                                   rng.choice(OBJECTIVES), rng.random() < 0.5)
+        if family == "GMB":
+            inst = dataclasses.replace(inst, budget=min(inst.budget, 2))
+        _assert_judge_agrees(inst)
+
+
+def _pinned_searches():
+    # (name, run, answer): the NO instances of test_node_limit_enforced and
+    # YES instances of each search
+    consent22 = SocialRule.consent(2, 2)
+    gb_csr = make_instance(random_binary(5, 82), SocialRule.csr(), "GB", "general", aplus=(0,), aminus=(1,),
+                           budget=2)
+    cgb_no = rx3c_to_cgb(gen_rx3c_no(2, seed=1))
+    cgb_yes = rx3c_to_cgb(gen_rx3c(2, seed=1))
+    return [
+        ("GCAI", lambda: solve_control_brute(make_instance(
+            random_binary(6, 77), consent22, "GCAI", "constructive", aplus=(0,), pool=(0, 1, 2), budget=2)), "NO"),
+        ("GCDI", lambda: solve_control_brute(make_instance(
+            random_binary(5, 87), consent22, "GCDI", "constructive", aplus=(0,), budget=3)), "NO"),
+        ("GCPI", lambda: solve_control_brute(make_instance(
+            random_binary(5, 78), consent22, "GCPI", "general", aplus=(0,), aminus=(1,))), "NO"),
+        ("GB", lambda: solve_bribery_brute(make_instance(
+            random_binary(5, 81), consent22, "GB", "general", aplus=(0,), aminus=(1,), budget=1)), "NO"),
+        ("GB csr", lambda: solve_bribery_brute(gb_csr), "NO"),
+        ("GMB", lambda: solve_microbribery_brute(make_instance(
+            random_binary(4, 96), consent22, "GMB", "constructive", aplus=(0, 1), budget=2)), "NO"),
+        ("cgb_xp", lambda: solvers._gb_xp(cgb_no, DEFAULT_SEARCH, 1), "NO"),
+        ("GCDI yes", lambda: solve_control_brute(make_instance(
+            ex1(), SocialRule.consent(1, 3), "GCDI", "constructive", aplus=(4,), budget=1)), "YES"),
+        ("GCPI yes", lambda: solve_control_brute(make_instance(
+            ex1(), SocialRule.csr(), "GCPI", "destructive", aminus=(1,))), "YES"),
+        ("GB yes", lambda: solve_bribery_brute(make_instance(
+            ex1(), SocialRule.consent(3, 1), "GB", "constructive", aplus=(3,), budget=2)), "YES"),
+        ("GB csr yes", lambda: solve_bribery_brute(dataclasses.replace(gb_csr, budget=5)), "YES"),
+        ("GMB yes", lambda: solve_microbribery_brute(make_instance(
+            ex1(), SocialRule.consent(3, 1), "GMB", "constructive", aplus=(0,), budget=1)), "YES"),
+        ("cgb_xp yes", lambda: solvers._gb_xp(cgb_yes, DEFAULT_SEARCH, 1), "YES"),
+        ("dgb_xp yes", lambda: solvers._gb_xp(make_instance(
+            profiles.make_profile([[1, 1], [1, 1]]), SocialRule.consent(1, 1), "GB", "destructive",
+            aminus=(0,), budget=1), DEFAULT_SEARCH, -1), "YES"),
+    ]
+
+
+def test_search_builds_and_checks_only_the_witness(monkeypatch):
+    # check_witness runs once per YES and never per NO; no Solution is built
+    # for a rejected candidate
+    checked = []
+    built = []
+    original_check = oracle.check_witness
+    original_init = Solution.__init__
+
+    def counting_check(instance, witness):
+        checked.append(witness)
+        return original_check(instance, witness)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "check_witness", counting_check)
+    monkeypatch.setattr(Solution, "__init__", counting_init)
+    for name, run, answer in _pinned_searches():
+        checked.clear()
+        built.clear()
+        verdict = run()
+        assert verdict.answer == answer, name
+        if answer == "YES":
+            assert checked == [verdict.witness] and checked[0] is verdict.witness, name
+            assert len(built) == 1, name
+        else:
+            assert checked == [] and built == [], name
+
+
+def test_consent_bribery_patches_derived_column_views(monkeypatch):
+    # the instance's profile transposes once; every bribed profile starts
+    # from its views and writes only the bribed rows in
+    inst = make_instance(random_binary(5, 81), SocialRule.consent(2, 2), "GB", "general",
+                         aplus=(0,), aminus=(1,), budget=1)
+    builds = []
+    original = profiles.Profile._columns
+
+    def counting(self):
+        if self._col_views is None:
+            origin = self._origin
+            patched = origin is not None and origin[0]._col_views is not None
+            builds.append((self is inst.profile, patched))
+            views = original(self)
+            copy = Profile(n=self.n, kind=self.kind, names=self.names, row_pos=self.row_pos,
+                           row_known=self.row_known)
+            assert views == original(copy)
+        return original(self)
+
+    monkeypatch.setattr(profiles.Profile, "_columns", counting)
+    assert solve_bribery_brute(inst).answer == "NO"
+    assert builds[0] == (True, False)
+    assert builds[1:] and all(build == (False, True) for build in builds[1:])
+    assert len(builds) == 8  # the 8 candidates of the node-count table
