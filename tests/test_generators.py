@@ -1,6 +1,8 @@
 """Generators: random profiles, cover families, and planted reductions."""
 
 import dataclasses
+import hashlib
+import random
 
 import pytest
 
@@ -311,3 +313,39 @@ def test_generator_outputs_are_deterministic_bytes():
     d = rx3c_to_cgcai_r(gen_rx3c(1, seed=8), "lsr")
     assert format_instance(c, "p.gid") == format_instance(d, "p.gid")
     assert format_profile(c.profile) == format_profile(d.profile)
+
+
+def _self_disqualifying_source(family: str, seed: int):
+    """Random consent instance whose originals all disqualify themselves."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 7)
+    rows = [[-1 if a == b else rng.choice((1, -1)) for b in range(n)] for a in range(n)]
+    s = rng.randrange(2, n + 1)
+    t = rng.randrange(1, n + 3 - s)
+    aplus = rng.sample(range(n), rng.randrange(1, n + 1))
+    budget = rng.randrange(0, n + 1) if family == "GCDI" else None
+    return make_instance(make_profile(rows, kind="binary"), SocialRule.consent(s, t),
+                         family, "constructive", aplus=aplus, budget=budget)
+
+
+def test_gadget_lifts_pin_their_bytes():
+    """The three dummy-gadget lifts keep their exact output over a seeded set."""
+    lifts = []
+    for m in (1, 2):
+        for t in (2, 3):
+            for scrub in (None, 0):
+                for seed in (5, 17):
+                    src = rx3c_to_cgcai_r(gen_rx3c(m, seed=seed), "consent", t=t,
+                                          scrub_element=scrub)
+                    lifts.append(augment_to_general(src, "gcai"))
+    for perturbed in (False, True):
+        lifts.append(augment_to_general(gen_planted_cgcdi(perturbed), "gcdi"))
+    for seed in range(40):
+        lifts.append(augment_to_exact_partition(_self_disqualifying_source("GCPI", seed)))
+        lifts.append(augment_to_general(_self_disqualifying_source("GCDI", seed), "gcdi"))
+    digest = hashlib.sha256()
+    for lift in lifts:
+        digest.update(format_instance(lift, "p.gid").encode())
+        digest.update(format_profile(lift.profile).encode())
+    assert len(lifts) == 98
+    assert digest.hexdigest() == "874109b140a26de60061c1101d1fd489fb3040fefe60383c192cb8b7fb41ab35"
