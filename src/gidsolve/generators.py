@@ -18,9 +18,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidR, PreconditionViolated
+from .errors import InvalidR, ParseError, PreconditionViolated
 from .instances import AttackInstance, make_instance
-from .profiles import Profile, SocialRule, make_profile
+from .profiles import Profile, SocialRule, default_names, full_mask, make_profile
 
 
 def gen_random_profile(n: int, kind: str = "binary", star_density: float = 0.0,
@@ -292,28 +292,44 @@ def gen_planted_cgcdi(perturbed: bool = False) -> AttackInstance:
     )
 
 
-def _extend_rows(profile: Profile, extra: int, fill: int = -1) -> list[list[int]]:
-    rows = profile.rows()
-    for row in rows:
-        row.extend([fill] * extra)
-    return rows
+def _with_dummies(profile: Profile, k: int, sign: int) -> Profile:
+    """The binary profile grown by k dummies n..n+k-1, under default names.
+
+    Every original disqualifies the dummies, except that for sign +1 it
+    qualifies the first dummy d1 = n; every dummy row is all -sign.
+    """
+    # make_instance does not tie the profile kind to the rule, so a consent
+    # source may still hold unknown cells
+    if profile.unknown_cells():
+        raise ParseError("binary profile cannot hold a star/unset cell")
+    n = profile.n
+    full = full_mask(n + k)
+    d1 = 1 << n if sign > 0 else 0
+    dummy_row = 0 if sign > 0 else full
+    return Profile(n=n + k, kind="binary", names=default_names(n + k),
+                   row_pos=tuple(pos | d1 for pos in profile.row_pos) + (dummy_row,) * k,
+                   row_known=(full,) * (n + k))
 
 
 def augment_to_general(instance: AttackInstance, flavor: str) -> AttackInstance:
     """Lift a constructive consent control instance to the general objective.
 
-    gcai flavor (needs t >= 2, every target self-qualifying): t - 1
-    all-disqualifying dummies join the protected side and one joins the
-    addable pool; everyone original qualifies d1, so d1 starts with
-    t - 1 disqualifiers and stays qualified until the lone addable
-    disqualifier is brought in.  gcdi flavor (needs s >= 2, every
-    target self-disqualifying): s all-qualifying dummies are the only
-    qualifiers of d1, so exactly one of d2..ds must be deleted.  Either
-    gadget pins one unit of the incremented budget, leaving the rest of
-    the problem equivalent to the source; targets insensitive to the
-    dummies' uniform rows keep the source dynamics intact.  The
-    exactly-r row restriction, if any, is dropped: gadget columns
-    change the row sums.
+    Both flavours add one signed gadget: sign +1 for gcai with k = t
+    dummies, sign -1 for gcdi with k = s dummies.  Every original
+    disqualifies the dummies, except that under +1 everyone original
+    qualifies d1; every dummy row is all -sign.  d1 becomes the
+    disqualification target and the budget grows by one.
+
+    gcai (needs t >= 2, every target self-qualifying): d1..d(t-1) join the
+    starting pool and dt is addable, so d1 starts with t - 1 disqualifiers
+    and stays qualified until the lone addable disqualifier is brought in.
+    gcdi (needs s >= 2, every target self-disqualifying): the s
+    all-qualifying dummies are the only qualifiers of d1, so exactly one
+    of d2..ds must be deleted.  Either gadget pins one unit of the
+    incremented budget, leaving the rest of the problem equivalent to the
+    source; targets insensitive to the dummies' uniform rows keep the
+    source dynamics intact.  The exactly-r row restriction, if any, is
+    dropped: gadget columns change the row sums.
     """
     if instance.rule.variant != "consent":
         raise PreconditionViolated("the general-objective gadgets are consent constructions")
@@ -323,58 +339,33 @@ def augment_to_general(instance: AttackInstance, flavor: str) -> AttackInstance:
         raise PreconditionViolated("augmentation needs a nonempty qualification side")
     if instance.budget is None:
         raise PreconditionViolated("the gadget pins one unit of budget, so a budget is required")
-    profile = instance.profile
-    n = profile.n
-    s, t = instance.rule.s, instance.rule.t
     if flavor == "gcai":
-        if instance.family != "GCAI":
-            raise PreconditionViolated("gcai flavor expects a control-by-adding instance")
-        if t < 2:
-            raise PreconditionViolated("the adding gadget needs t >= 2")
-        for a in instance.aplus:
-            if profile.entry(a, a) != 1:
-                raise PreconditionViolated("the adding gadget needs self-qualifying targets")
-        rows = _extend_rows(profile, t)
-        d1 = n
-        for row in rows[:n]:
-            row[d1] = 1
-        for _ in range(t):
-            rows.append([-1] * (n + t))
-        pool = set(instance.pool) | set(range(n, n + t - 1))
-        return make_instance(
-            make_profile(rows, kind="binary"),
-            instance.rule,
-            "GCAI",
-            "general",
-            aplus=instance.aplus,
-            aminus=(d1,),
-            pool=pool,
-            budget=instance.budget + 1,
-        )
-    if flavor == "gcdi":
-        if instance.family != "GCDI":
-            raise PreconditionViolated("gcdi flavor expects a control-by-deleting instance")
-        if s < 2:
-            raise PreconditionViolated("the deleting gadget needs s >= 2")
-        for a in instance.aplus:
-            if profile.entry(a, a) != -1:
-                raise PreconditionViolated("the deleting gadget needs self-disqualifying targets")
-        rows = _extend_rows(profile, s)
-        d1 = n
-        for row in rows[:n]:
-            row[d1] = -1
-        for _ in range(s):
-            rows.append([1] * (n + s))
-        return make_instance(
-            make_profile(rows, kind="binary"),
-            instance.rule,
-            "GCDI",
-            "general",
-            aplus=instance.aplus,
-            aminus=(d1,),
-            budget=instance.budget + 1,
-        )
-    raise PreconditionViolated("flavor must be gcai or gcdi, got %r" % (flavor,))
+        sign, family, gadget, quota, k = 1, "GCAI", "adding", "t", instance.rule.t
+    elif flavor == "gcdi":
+        sign, family, gadget, quota, k = -1, "GCDI", "deleting", "s", instance.rule.s
+    else:
+        raise PreconditionViolated("flavor must be gcai or gcdi, got %r" % (flavor,))
+    if instance.family != family:
+        raise PreconditionViolated("%s flavor expects a control-by-%s instance" % (flavor, gadget))
+    if k < 2:
+        raise PreconditionViolated("the %s gadget needs %s >= 2" % (gadget, quota))
+    profile = instance.profile
+    for a in instance.aplus:
+        if profile.entry(a, a) != sign:
+            raise PreconditionViolated("the %s gadget needs self-%s targets"
+                                       % (gadget, "qualifying" if sign > 0 else "disqualifying"))
+    n = profile.n
+    pool = set(instance.pool) | set(range(n, n + k - 1)) if sign > 0 else None
+    return make_instance(
+        _with_dummies(profile, k, sign),
+        instance.rule,
+        family,
+        "general",
+        aplus=instance.aplus,
+        aminus=(n,),
+        pool=pool,
+        budget=instance.budget + 1,
+    )
 
 
 def augment_to_exact_partition(instance: AttackInstance) -> AttackInstance:
@@ -400,12 +391,9 @@ def augment_to_exact_partition(instance: AttackInstance) -> AttackInstance:
     for a in range(n):
         if profile.entry(a, a) != -1:
             raise PreconditionViolated("the exact gadget needs all originals self-disqualifying")
-    rows = _extend_rows(profile, s)
-    for _ in range(s):
-        rows.append([1] * (n + s))
     aminus = set(range(n, n + s)) | (set(range(n)) - set(instance.aplus))
     return make_instance(
-        make_profile(rows, kind="binary"),
+        _with_dummies(profile, s, -1),
         instance.rule,
         "GCPI",
         "exact",

@@ -300,20 +300,19 @@ def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = No
 
         completions = map(plus_masks, itertools.product((1, -1), repeat=len(unknown_cells)))
 
+    # every extension is binary on the same n, so this one check is the
+    # applicability check of each of them, which eval_mask relies on
+    rule.ensure_quota_bound(profile.n)
     # each completion is one +1 mask per row, set on top of the known +1 bits
     possible = False
     necessary = True
     full = full_mask(profile.n)
     wanted_mask = mask_of(wanted)
     all_known = (full,) * profile.n
-    for count, plus in enumerate(completions):
+    for plus in completions:
         row_pos = tuple(pos | extra for pos, extra in zip(profile.row_pos, plus))
         extension = Profile(n=profile.n, kind="binary", names=profile.names,
                             row_pos=row_pos, row_known=all_known)
-        if not count:
-            # every extension is binary on the same n, so one applicability
-            # check covers them all; eval_mask relies on it
-            profiles.ensure_applicable(rule, extension)
         ok = not wanted_mask & ~profiles.eval_mask(rule, full, extension)
         possible = possible or ok
         necessary = necessary and ok

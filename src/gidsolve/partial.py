@@ -104,8 +104,11 @@ def max_flow(net: FlowNetwork) -> tuple[int, tuple[tuple[int, int, int], ...]]:
 
     Returns (value, cut) where cut lists the original arcs that cross
     from the residual-reachable side to the rest, in input order; their
-    capacities sum to the flow value.  Arc order is fixed by the input,
-    so repeated runs produce identical flows and cuts.
+    capacities sum to the flow value.  That side is read off the final,
+    failed augmenting search, which visits exactly the vertices the
+    source reaches in the residual network: the unique minimal source
+    side of a minimum cut.  Arc order is fixed by the input, so repeated
+    runs produce identical flows and cuts.
     """
     residual: dict[tuple[int, int], int] = {}
     adjacency: list[list[int]] = [[] for _ in range(net.num_vertices)]
@@ -132,6 +135,8 @@ def max_flow(net: FlowNetwork) -> tuple[int, tuple[tuple[int, int, int], ...]]:
                     parent[v] = u
                     queue.append(v)
         if net.sink not in parent:
+            # the search emptied its queue short of the sink, so parent holds
+            # exactly the residual-reachable vertices: the cut's source side
             break
         path = []
         v = net.sink
@@ -145,18 +150,10 @@ def max_flow(net: FlowNetwork) -> tuple[int, tuple[tuple[int, int, int], ...]]:
             residual[arc] -= bottleneck
             residual[(v, u)] += bottleneck
         value += bottleneck
-    reachable = {net.source}
-    queue = collections.deque([net.source])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in reachable and residual[(u, v)] > 0:
-                reachable.add(v)
-                queue.append(v)
     cut = tuple(
         (u, v, c)
         for (u, v, c) in net.arcs
-        if u in reachable and v not in reachable and c > 0
+        if u in parent and v not in parent and c > 0
     )
     return value, cut
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gidsolve.errors import InvalidR, PreconditionViolated
+from gidsolve.errors import InvalidR, ParseError, PreconditionViolated
 from gidsolve.generators import (
     Rx3cInstance,
     augment_to_exact_partition,
@@ -253,6 +253,15 @@ def test_augment_guards():
     lsr_src = rx3c_to_cgcai_r(gen_rx3c(1, seed=5), "lsr")
     with pytest.raises(PreconditionViolated):
         augment_to_general(lsr_src, "gcai")  # not a consent rule
+    # make_instance accepts a consent rule on a partial profile; the gadgets
+    # refuse its unknown cells
+    partial = make_profile([[-1, 0], [1, -1]], kind="partial")
+    for family, lift in (("GCDI", lambda inst: augment_to_general(inst, "gcdi")),
+                         ("GCPI", augment_to_exact_partition)):
+        src = make_instance(partial, SocialRule.consent(2, 1), family, "constructive",
+                            aplus=(0,), budget=1)
+        with pytest.raises(ParseError, match="binary profile cannot hold a star/unset cell"):
+            lift(src)
 
 
 def _partition_source(yes: bool):

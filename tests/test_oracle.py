@@ -5,7 +5,14 @@ import random
 import pytest
 
 from gidsolve import oracle, partial, profiles, solvers
-from gidsolve.errors import InstanceTooLarge, InvalidR, NoRExtension, PreconditionViolated, WrongKind
+from gidsolve.errors import (
+    InstanceTooLarge,
+    InvalidR,
+    NoRExtension,
+    PreconditionViolated,
+    QuotaConstraintViolated,
+    WrongKind,
+)
 from gidsolve.generators import gen_rx3c, gen_rx3c_no, rx3c_to_cgb
 from gidsolve.instances import (
     FAMILY_KIND,
@@ -399,6 +406,29 @@ def test_pqi_nqi_node_limit():
     with pytest.raises(InstanceTooLarge):
         pqi_nqi_brute(p, (0,), SocialRule.consent(1, 1),
                       search=SearchBudget(node_limit=100))
+
+
+def test_pqi_nqi_refusals_precede_the_quota_bound():
+    # consent(3, 2) breaks s + t <= n + 2 at n = 2, yet an infeasible r and
+    # then a too-small node limit are reported first
+    p = make_profile([[1, 0], [0, -1]], kind="partial")
+    rule = SocialRule.consent(3, 2)
+    cases = [
+        (dict(r=3, search=SearchBudget(node_limit=0)), NoRExtension,
+         "row a1 has 1 fixed qualifications and 1 unknowns, cannot reach r=3"),
+        (dict(r=1, search=SearchBudget(node_limit=0)), InstanceTooLarge,
+         "1 r-extensions exceed node limit 0"),
+        (dict(search=SearchBudget(node_limit=3)), InstanceTooLarge,
+         "2^2 extensions exceed node limit 3"),
+        (dict(r=1), QuotaConstraintViolated,
+         "consent quotas s=3 t=2 violate s + t <= n + 2 for n=2"),
+        (dict(search=SearchBudget(node_limit=4)), QuotaConstraintViolated,
+         "consent quotas s=3 t=2 violate s + t <= n + 2 for n=2"),
+    ]
+    for kwargs, error, text in cases:
+        with pytest.raises(error) as err:
+            pqi_nqi_brute(p, (0,), rule, **kwargs)
+        assert str(err.value) == text, kwargs
 
 
 def test_derived_profiles_skip_make_profile(monkeypatch):

@@ -140,7 +140,9 @@ def test_max_flow_goldens():
 
 
 def _reference_flow(net):
-    # independent recomputation: depth-first augmenting paths on a matrix
+    # independent recomputation: depth-first augmenting paths on a matrix;
+    # returns the flow value and the vertices the source reaches in the
+    # final residual matrix
     matrix = [[0] * net.num_vertices for _ in range(net.num_vertices)]
     for u, v, c in net.arcs:
         if u != v:
@@ -161,9 +163,10 @@ def _reference_flow(net):
 
     total = 0
     while True:
-        pushed = augment(net.source, 10**9, set())
+        reached = set()
+        pushed = augment(net.source, 10**9, reached)
         if pushed == 0:
-            return total
+            return total, reached
         total += pushed
 
 
@@ -179,8 +182,12 @@ def test_max_flow_random_networks():
             arcs.append((u, v, rng.randrange(0, 7)))
         net = FlowNetwork(10, 0, 9, tuple(arcs))
         value, cut = max_flow(net)
-        assert value == _reference_flow(net)
+        ref_value, reached = _reference_flow(net)
+        assert value == ref_value
         assert sum(c for _, _, c in cut) == value
+        # the cut leaves the unique minimal source side, in input order
+        assert cut == tuple((u, v, c) for u, v, c in net.arcs
+                            if u in reached and v not in reached and c > 0)
         # the cut separates: dropping its arcs kills all flow
         cut_set = set(cut)
         remaining = tuple(a for a in net.arcs if a not in cut_set)
