@@ -135,8 +135,6 @@ def max_flow(net: FlowNetwork) -> tuple[int, tuple[tuple[int, int, int], ...]]:
                     parent[v] = u
                     queue.append(v)
         if net.sink not in parent:
-            # the search emptied its queue short of the sink, so parent holds
-            # exactly the residual-reachable vertices: the cut's source side
             break
         path = []
         v = net.sink

@@ -28,7 +28,7 @@ from gidsolve.instances import (
     validate,
 )
 from gidsolve.oracle import solve_bribery_brute, solve_control_brute
-from gidsolve.profiles import SocialRule, eval, format_profile, make_profile
+from gidsolve.profiles import SocialRule, default_names, eval, format_profile, make_profile
 
 
 # -------------------------------------------------------- random profiles
@@ -240,6 +240,10 @@ def test_augment_gcdi():
     assert solve_control_brute(
         augment_to_general(gen_planted_cgcdi(perturbed=True), "gcdi")
     ).answer == "NO"
+    # the lifted profile names everyone afresh, custom source names included
+    named = dataclasses.replace(src, profile=make_profile(src.profile.rows(), names="vwxyz"))
+    assert augment_to_general(named, "gcdi").profile == aug.profile
+    assert aug.profile.names == default_names(n + 2)
 
 
 def test_augment_guards():
