@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidR, ParseError, PreconditionViolated
+from .errors import InvalidR, PreconditionViolated
 from .instances import AttackInstance, make_instance
 from .profiles import Profile, SocialRule, default_names, full_mask, make_profile
 
@@ -298,10 +298,6 @@ def _with_dummies(profile: Profile, k: int, sign: int) -> Profile:
     Every original disqualifies the dummies, except that for sign +1 it
     qualifies the first dummy d1 = n; every dummy row is all -sign.
     """
-    # make_instance does not tie the profile kind to the rule, so a consent
-    # source may still hold unknown cells
-    if profile.unknown_cells():
-        raise ParseError("binary profile cannot hold a star/unset cell")
     n = profile.n
     full = full_mask(n + k)
     d1 = 1 << n if sign > 0 else 0
@@ -309,6 +305,13 @@ def _with_dummies(profile: Profile, k: int, sign: int) -> Profile:
     return Profile(n=n + k, kind="binary", names=default_names(n + k),
                    row_pos=tuple(pos | d1 for pos in profile.row_pos) + (dummy_row,) * k,
                    row_known=(full,) * (n + k))
+
+
+def _ensure_binary(instance: AttackInstance):
+    # make_instance does not tie the profile kind to the rule, so a consent
+    # source may come on a partial or ternary profile
+    if instance.profile.kind != "binary":
+        raise PreconditionViolated("the gadgets lift binary profiles, got a %s one" % instance.profile.kind)
 
 
 def augment_to_general(instance: AttackInstance, flavor: str) -> AttackInstance:
@@ -333,6 +336,7 @@ def augment_to_general(instance: AttackInstance, flavor: str) -> AttackInstance:
     """
     if instance.rule.variant != "consent":
         raise PreconditionViolated("the general-objective gadgets are consent constructions")
+    _ensure_binary(instance)
     if instance.objective != "constructive":
         raise PreconditionViolated("augmentation starts from a constructive instance")
     if not instance.aplus:
@@ -347,6 +351,8 @@ def augment_to_general(instance: AttackInstance, flavor: str) -> AttackInstance:
         raise PreconditionViolated("flavor must be gcai or gcdi, got %r" % (flavor,))
     if instance.family != family:
         raise PreconditionViolated("%s flavor expects a control-by-%s instance" % (flavor, gadget))
+    if sign > 0 and instance.pool is None:
+        raise PreconditionViolated("GCAI instance needs a pool")
     if k < 2:
         raise PreconditionViolated("the %s gadget needs %s >= 2" % (gadget, quota))
     profile = instance.profile
@@ -381,6 +387,7 @@ def augment_to_exact_partition(instance: AttackInstance) -> AttackInstance:
     """
     if instance.family != "GCPI" or instance.rule.variant != "consent":
         raise PreconditionViolated("the exact gadget lifts consent partition instances")
+    _ensure_binary(instance)
     if instance.objective != "constructive":
         raise PreconditionViolated("augmentation starts from a constructive instance")
     s = instance.rule.s

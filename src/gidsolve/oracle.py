@@ -265,23 +265,39 @@ def row_needs(profile: Profile, r: int) -> list[int]:
     return needs
 
 
+def _query_mask(profile: Profile, subset) -> int:
+    """Mask of a qualification query's set: ternary profiles are refused
+    first, then the first index out of range in the set's own order."""
+    if profile.kind == "ternary":
+        raise WrongKind("qualification queries work on partial (or binary) profiles")
+    return profiles._index_mask(frozenset(subset), profile.n)
+
+
+def _r_extension_needs(profile: Profile, r: int, search: SearchBudget) -> list[int]:
+    """row_needs, refused when the r-extensions outnumber the node limit.
+
+    The one statement of an exactly-r query's refusals after _query_mask's:
+    an invalid r, a row that cannot reach r, then the node limit.
+    """
+    needs = row_needs(profile, r)
+    if search.node_limit is not None:
+        total = math.prod(math.comb(profile.n - known.bit_count(), need)
+                          for known, need in zip(profile.row_known, needs))
+        if total > search.node_limit:
+            raise InstanceTooLarge("%d r-extensions exceed node limit %d" % (total, search.node_limit))
+    return needs
+
+
 def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = None,
                   search: SearchBudget = DEFAULT_SEARCH) -> tuple[bool, bool]:
     """Possible/necessary qualification of a whole set by extension enumeration."""
-    if profile.kind == "ternary":
-        raise WrongKind("qualification queries work on partial (or binary) profiles")
-    wanted = frozenset(subset)
-    profiles._index_mask(wanted, profile.n)
+    wanted_mask = _query_mask(profile, subset)
+    full = full_mask(profile.n)
     if r is not None:
-        full = full_mask(profile.n)
-        per_row = [(list(bits(full & ~known)), need)
-                   for known, need in zip(profile.row_known, row_needs(profile, r))]
-        total = math.prod(math.comb(len(unknown), need) for unknown, need in per_row)
-        if search.node_limit is not None and total > search.node_limit:
-            raise InstanceTooLarge("%d r-extensions exceed node limit %d" % (total, search.node_limit))
+        needs = _r_extension_needs(profile, r, search)
         row_options = [
-            [mask_of(plus_cells) for plus_cells in itertools.combinations(unknown, need)]
-            for unknown, need in per_row
+            [mask_of(plus_cells) for plus_cells in itertools.combinations(bits(full & ~known), need)]
+            for known, need in zip(profile.row_known, needs)
         ]
         completions = itertools.product(*row_options)
     else:
@@ -306,8 +322,6 @@ def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = No
     # each completion is one +1 mask per row, set on top of the known +1 bits
     possible = False
     necessary = True
-    full = full_mask(profile.n)
-    wanted_mask = mask_of(wanted)
     all_known = (full,) * profile.n
     for plus in completions:
         row_pos = tuple(pos | extra for pos, extra in zip(profile.row_pos, plus))

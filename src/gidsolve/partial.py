@@ -25,10 +25,13 @@ The unrestricted queries reduce to evaluating one canonical completion:
   all--1 completion minimises the outcome over all completions.
 
 Both completions come from one builder over the row masks.  The
-r-restricted solvers run on flow feasibility over the unknown cells of
-S-columns (possible) and on per-column forced and dodgeable masks
-(necessary); `answer_query` routes to the right specialised routine
-and falls back to extension enumeration where none applies.
+r-restricted consent solvers run on flow feasibility over the unknown
+cells of S-columns (possible) and on per-column forced and dodgeable
+masks (necessary).  For csr and lsr every r-extension lies between the
+two canonical completions, so they bound the r-restricted queries, and
+at r = 1 each row's single +1 gives closed forms.  `answer_query`
+routes to the right specialised routine and falls back to extension
+enumeration where none applies or the bounds leave the answer open.
 """
 
 from __future__ import annotations
@@ -45,8 +48,15 @@ from .errors import (
     PreconditionViolated,
     WrongKind,
 )
-from .oracle import DEFAULT_SEARCH, SearchBudget, pqi_nqi_brute, row_needs
-from .profiles import Profile, SocialRule, _index_mask, bits, eval, full_mask, mask_of
+from .oracle import (
+    DEFAULT_SEARCH,
+    SearchBudget,
+    _query_mask,
+    _r_extension_needs,
+    pqi_nqi_brute,
+    row_needs,
+)
+from .profiles import Profile, SocialRule, _index_mask, bits, eval, eval_mask, full_mask, mask_of
 
 PQI = "PQI"
 NQI = "NQI"
@@ -371,6 +381,41 @@ def r_nqi(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     return True
 
 
+def r_sequential(profile: Profile, subset, r: int, rule: SocialRule, mode: str,
+                 search: SearchBudget = DEFAULT_SEARCH) -> bool | None:
+    """Exactly-r csr/lsr queries decided without enumeration, or None.
+
+    It refuses exactly what pqi_nqi_brute refuses, in the same order and
+    under the same node limit.  At r = 1 PQI is exact: each row's one +1
+    makes lsr return the self-approvers and csr the lone column every row
+    approves, so S is possible iff the rows it needs can aim their +1 at
+    it.  Otherwise the canonical completions bound every r-extension, one
+    of which exists: if the all--1 completion qualifies S, every one does,
+    and if the all-+1 completion misses S, none does.  In between the
+    answer is None and the query is left to enumeration.
+    """
+    if rule.variant not in ("csr", "lsr"):
+        raise PreconditionViolated("the sequential r route handles csr and lsr rules")
+    wanted = _query_mask(profile, subset)
+    needs = _r_extension_needs(profile, r, search)
+    if not wanted:
+        return True  # the empty set qualifies under every completion
+    if r == 1 and mode == PQI:
+        aims = mask_of(b for b, need in enumerate(needs) if need)
+        if rule.variant == "lsr":
+            return not wanted & ~(profile.diag_pos | (~profile.diag_known & aims))
+        if wanted & (wanted - 1):
+            return False  # csr qualifies one member at most
+        a = wanted.bit_length() - 1
+        return profile.col_pos[a] | (~profile.col_known[a] & aims) == full_mask(profile.n)
+    full = full_mask(profile.n)
+    if not wanted & ~eval_mask(rule, full, _extension(profile, subset, rule, -1)):
+        return True
+    if wanted & ~eval_mask(rule, full, _extension(profile, subset, rule, 1)):
+        return False
+    return None
+
+
 def answer_query(profile: Profile, query: PartialQuery, rule: SocialRule,
                  search: SearchBudget = DEFAULT_SEARCH) -> tuple[bool, str]:
     """Answer a qualification query, naming the solver that produced it."""
@@ -385,5 +430,9 @@ def answer_query(profile: Profile, query: PartialQuery, rule: SocialRule,
     if query.mode == NQI and (rule.variant == "consent"
                               or (rule.variant in ("csr", "lsr") and query.r == 1)):
         return r_nqi(profile, query.subset, query.r, rule), "r_nqi"
+    if rule.variant in ("csr", "lsr"):
+        answer = r_sequential(profile, query.subset, query.r, rule, query.mode, search)
+        if answer is not None:
+            return answer, "r_sequential"
     possible, necessary = pqi_nqi_brute(profile, query.subset, rule, r=query.r, search=search)
     return (possible if query.mode == PQI else necessary), "brute"

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gidsolve.errors import InvalidR, ParseError, PreconditionViolated
+from gidsolve.errors import InvalidR, PreconditionViolated
 from gidsolve.generators import (
     Rx3cInstance,
     augment_to_exact_partition,
@@ -257,15 +257,27 @@ def test_augment_guards():
     lsr_src = rx3c_to_cgcai_r(gen_rx3c(1, seed=5), "lsr")
     with pytest.raises(PreconditionViolated):
         augment_to_general(lsr_src, "gcai")  # not a consent rule
-    # make_instance accepts a consent rule on a partial profile; the gadgets
-    # refuse its unknown cells
-    partial = make_profile([[-1, 0], [1, -1]], kind="partial")
-    for family, lift in (("GCDI", lambda inst: augment_to_general(inst, "gcdi")),
-                         ("GCPI", augment_to_exact_partition)):
-        src = make_instance(partial, SocialRule.consent(2, 1), family, "constructive",
-                            aplus=(0,), budget=1)
-        with pytest.raises(ParseError, match="binary profile cannot hold a star/unset cell"):
-            lift(src)
+    # make_instance accepts a consent rule on a partial or ternary profile;
+    # the gadgets refuse it
+    for kind in ("partial", "ternary"):
+        profile = make_profile([[-1, 0], [1, -1]], kind=kind)
+        for family, lift in (("GCDI", lambda inst: augment_to_general(inst, "gcdi")),
+                             ("GCPI", augment_to_exact_partition)):
+            src = make_instance(profile, SocialRule.consent(2, 1), family, "constructive",
+                                aplus=(0,), budget=1)
+            with pytest.raises(PreconditionViolated, match="the gadgets lift binary profiles, got a %s one" % kind):
+                lift(src)
+
+
+def test_augment_gcai_needs_a_pool():
+    # make_instance accepts a GCAI source without a pool
+    src = make_instance(make_profile([[1, -1], [1, 1]], kind="binary"), SocialRule.consent(2, 2), "GCAI",
+                        "constructive", aplus=(0,), budget=1)
+    assert src.pool is None
+    with pytest.raises(PreconditionViolated, match="^GCAI instance needs a pool$"):
+        augment_to_general(src, "gcai")
+    lifted = augment_to_general(dataclasses.replace(src, pool=(0,)), "gcai")
+    assert lifted.pool == frozenset({0, 2})
 
 
 def _partition_source(yes: bool):

@@ -1,5 +1,6 @@
 """Qualification queries on partial profiles, checked against enumeration."""
 
+import collections
 import itertools
 import random
 
@@ -17,7 +18,7 @@ from gidsolve.errors import (
     QuotaConstraintViolated,
     WrongKind,
 )
-from gidsolve.oracle import pqi_nqi_brute
+from gidsolve.oracle import SearchBudget, pqi_nqi_brute
 from gidsolve.partial import (
     NQI,
     PQI,
@@ -32,6 +33,7 @@ from gidsolve.partial import (
     r_nqi,
     r_pqi_consent_flow,
     r_pqi_general,
+    r_sequential,
 )
 from gidsolve.profiles import SocialRule, eval, make_profile
 
@@ -447,7 +449,9 @@ def test_answer_query_dispatch():
         (PartialQuery([0], NQI, r=1), SocialRule.lsr(), "r_nqi"),
         (PartialQuery([0], NQI, r=1), SocialRule.csr(), "r_nqi"),
         (PartialQuery([0], NQI, r=2), SocialRule.csr(), "brute"),
-        (PartialQuery([0], PQI, r=1), SocialRule.lsr(), "brute"),
+        (PartialQuery([0], PQI, r=1), SocialRule.lsr(), "r_sequential"),
+        (PartialQuery([0], PQI, r=2), SocialRule.lsr(), "r_sequential"),
+        (PartialQuery([0], NQI, r=2), SocialRule.lsr(), "r_sequential"),
         (PartialQuery([0], PQI, r=1), SocialRule.ternary(1, 1, 1), "brute"),
         (PartialQuery([0], NQI, r=1), SocialRule.ternary(1, 1, 1), "brute"),
     ]
@@ -475,6 +479,81 @@ def test_answer_query_matches_brute():
         answer, _ = answer_query(profile, query, rule)
         possible, necessary = pqi_nqi_brute(profile, subset, rule, r=r)
         assert answer == (possible if mode == PQI else necessary)
+
+
+def error_text(run):
+    try:
+        return run()
+    except GidError as error:
+        return "%s: %s" % (type(error).__name__, error)
+
+
+def test_r_sequential_matches_brute():
+    # r = 1 PQI closed forms and canonical-completion bounds against
+    # enumeration, refusals included: rows that cannot reach r, indices out
+    # of range, ternary profiles and node limits
+    rng = random.Random(446)
+    routes = collections.Counter()
+    for _ in range(600):
+        n = rng.randrange(3, 7)
+        r = rng.randrange(1, 4)
+        if rng.random() < 0.8:
+            profile = random_r_partial(rng, n, min(r, n), 9)
+        else:
+            profile = random_partial(rng, n, 9)
+        if rng.random() < 0.05:
+            profile = make_profile(profile.rows(), kind="ternary")
+        subset = random_subset(rng, n)
+        if rng.random() < 0.05:
+            subset |= {n, -1}
+        search = SearchBudget(rng.choice([None, None, None, 0, 4, 64]))
+        rule = rng.choice([SocialRule.csr(), SocialRule.lsr()])
+        brute = error_text(lambda: pqi_nqi_brute(profile, subset, rule, r=r, search=search))
+        for index, mode in enumerate((PQI, NQI)):
+            if r == 1 and mode == NQI:
+                continue  # r_nqi's, which enumerates nothing and takes no node limit
+            answer = error_text(lambda: answer_query(profile, PartialQuery(subset, mode, r=r), rule, search))
+            if isinstance(answer, tuple):
+                answer, route = answer
+                routes[route] += 1
+            expected = brute if isinstance(brute, str) else brute[index]
+            assert answer == expected, (profile.rows(), sorted(subset), rule.variant, r, mode)
+    assert routes["r_sequential"] > 100 and routes["brute"] > 10, routes
+
+
+def test_r_sequential_closed_form_edges():
+    csr, lsr = SocialRule.csr(), SocialRule.lsr()
+    # r = 1 csr qualifies one member at most, though every row could aim
+    # its +1 at either member
+    open2 = make_profile([[0, 0], [0, 0]], kind="partial")
+    assert r_sequential(open2, {0, 1}, 1, csr, PQI) is False
+    assert r_sequential(open2, {1}, 1, csr, PQI) is True
+    # row a1's diagonal is unknown but its one +1 is spent on a2
+    spent = make_profile([[0, 1, -1], [0, 0, 0], [1, -1, 0]], kind="partial")
+    assert r_sequential(spent, {0}, 1, lsr, PQI) is False
+    assert r_sequential(spent, {1}, 1, lsr, PQI) is True
+    for profile, subset, rule in ((open2, {0, 1}, csr), (spent, {0}, lsr), (spent, {1}, lsr)):
+        possible, _ = pqi_nqi_brute(profile, subset, rule, r=1)
+        assert r_sequential(profile, subset, 1, rule, PQI) is possible
+    # between the bounds the route leaves the query to enumeration
+    diag = make_profile([[1, 0, 0], [0, 1, 0], [0, 0, 1]], kind="partial")
+    assert r_sequential(diag, {0}, 2, csr, NQI) is None
+    assert r_sequential(diag, {0}, 2, lsr, NQI) is True
+    assert r_sequential(make_profile([[-1, 0], [0, -1]], kind="partial"), {0}, 1, lsr, NQI) is False
+
+
+def test_r_sequential_refusals():
+    lsr = SocialRule.lsr()
+    with pytest.raises(PreconditionViolated):
+        r_sequential(make_profile([[0, 0], [0, 0]], kind="partial"), {0}, 1, consent(1, 1), PQI)
+    with pytest.raises(WrongKind):
+        r_sequential(make_profile([[1, 0], [0, 1]], kind="ternary"), {5}, 9, lsr, PQI)
+    with pytest.raises(IndexOutOfRange):
+        r_sequential(make_profile([[1, 0], [0, 1]], kind="partial"), {5}, 9, lsr, PQI)
+    with pytest.raises(NoRExtension):
+        r_sequential(make_profile([[1, 0], [0, 1]], kind="partial"), {0}, 9, lsr, PQI, SearchBudget(0))
+    with pytest.raises(InstanceTooLarge, match="^4 r-extensions exceed node limit 3$"):
+        r_sequential(make_profile([[0, 0], [0, 0]], kind="partial"), {0}, 1, lsr, PQI, SearchBudget(3))
 
 
 # ------------------------------------------------- exhaustive small profiles
