@@ -352,9 +352,11 @@ def _gen_pairs(args):
 
 
 def cmd_gen(args, argv) -> int:
+    # generate everything first, so a refused generator leaves no directory
+    pairs = list(_gen_pairs(args))
     os.makedirs(args.out, exist_ok=True)
     report = RunReport(_echo(argv))
-    for base, profile, instance in _gen_pairs(args):
+    for base, profile, instance in pairs:
         profile_name = base + ".gid"
         _write(os.path.join(args.out, profile_name), format_profile(profile))
         report.add("wrote", profile_name)

@@ -202,7 +202,7 @@ def solve_bribery_brute(instance: AttackInstance, search: SearchBudget = DEFAULT
     if instance.budget is None:
         raise PreconditionViolated("GB instance needs a budget")
     n = instance.profile.n
-    sequential = instance.rule.variant in ("csr", "lsr")
+    sequential = not instance.rule.column_local
 
     def candidates():
         for members in _subsets(range(n), min(instance.budget, n)):
@@ -218,7 +218,7 @@ def solve_bribery_brute(instance: AttackInstance, search: SearchBudget = DEFAULT
 
 def _pair_domain(instance: AttackInstance) -> list:
     n = instance.profile.n
-    if instance.rule.variant in ("csr", "lsr"):
+    if not instance.rule.column_local:
         return [(a, b) for a in range(n) for b in range(n)]
     # column-local rules: only incoming entries of targets matter
     cols = sorted(instance.targets())
@@ -290,40 +290,34 @@ def _r_extension_needs(profile: Profile, r: int, search: SearchBudget) -> list[i
 
 def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = None,
                   search: SearchBudget = DEFAULT_SEARCH) -> tuple[bool, bool]:
-    """Possible/necessary qualification of a whole set by extension enumeration."""
+    """Possible/necessary qualification of a whole set by extension enumeration.
+
+    One enumerator serves both cases: each row's +1 options are exactly
+    need of its unknown cells under r, or any subset of them without r,
+    and one product over the rows' options yields every completion.
+    """
     wanted_mask = _query_mask(profile, subset)
     full = full_mask(profile.n)
     if r is not None:
         needs = _r_extension_needs(profile, r, search)
-        row_options = [
-            [mask_of(plus_cells) for plus_cells in itertools.combinations(bits(full & ~known), need)]
-            for known, need in zip(profile.row_known, needs)
-        ]
-        completions = itertools.product(*row_options)
     else:
-        unknown_cells = profile.unknown_cells()
-        if search.node_limit is not None and 2 ** len(unknown_cells) > search.node_limit:
-            raise InstanceTooLarge(
-                "2^%d extensions exceed node limit %d" % (len(unknown_cells), search.node_limit)
-            )
-
-        def plus_masks(choice):
-            masks = [0] * profile.n
-            for (a, b), v in zip(unknown_cells, choice):
-                if v == 1:
-                    masks[a] |= 1 << b
-            return masks
-
-        completions = map(plus_masks, itertools.product((1, -1), repeat=len(unknown_cells)))
-
+        unknown = len(profile.unknown_cells())
+        if search.node_limit is not None and 2 ** unknown > search.node_limit:
+            raise InstanceTooLarge("2^%d extensions exceed node limit %d" % (unknown, search.node_limit))
+        needs = (None,) * profile.n
     # every extension is binary on the same n, so this one check is the
     # applicability check of each of them, which eval_mask relies on
     rule.ensure_quota_bound(profile.n)
+    row_options = []
+    for known, need in zip(profile.row_known, needs):
+        cells = list(bits(full & ~known))
+        sizes = range(len(cells) + 1) if need is None else (need,)
+        row_options.append([mask_of(plus) for size in sizes for plus in itertools.combinations(cells, size)])
     # each completion is one +1 mask per row, set on top of the known +1 bits
     possible = False
     necessary = True
     all_known = (full,) * profile.n
-    for plus in completions:
+    for plus in itertools.product(*row_options):
         row_pos = tuple(pos | extra for pos, extra in zip(profile.row_pos, plus))
         extension = Profile(n=profile.n, kind="binary", names=profile.names,
                             row_pos=row_pos, row_known=all_known)

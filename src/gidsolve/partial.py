@@ -46,7 +46,6 @@ from .errors import (
     InvalidR,
     ParseError,
     PreconditionViolated,
-    WrongKind,
 )
 from .oracle import (
     DEFAULT_SEARCH,
@@ -56,7 +55,7 @@ from .oracle import (
     pqi_nqi_brute,
     row_needs,
 )
-from .profiles import Profile, SocialRule, _index_mask, bits, eval, eval_mask, full_mask, mask_of
+from .profiles import Profile, SocialRule, bits, eval, eval_mask, full_mask, mask_of
 
 PQI = "PQI"
 NQI = "NQI"
@@ -167,15 +166,13 @@ def max_flow(net: FlowNetwork) -> tuple[int, tuple[tuple[int, int, int], ...]]:
 
 
 def _check_query(profile: Profile, subset, rule: SocialRule) -> list[int]:
-    """Shared guards; returns the sorted member list."""
-    if profile.kind == "ternary":
-        raise WrongKind("qualification queries work on partial (or binary) profiles")
-    members = sorted(set(subset))
-    _index_mask(members, profile.n)
-    if not members:
+    """Shared guards: _query_mask's kind and index refusals, then the empty
+    set and the quota bound; returns the sorted member list."""
+    wanted = _query_mask(profile, subset)
+    if not wanted:
         raise PreconditionViolated("query set must be nonempty")
     rule.ensure_quota_bound(profile.n)
-    return members
+    return list(bits(wanted))
 
 
 def _extension(profile: Profile, subset, rule: SocialRule, sign: int) -> Profile:
@@ -191,7 +188,7 @@ def _extension(profile: Profile, subset, rule: SocialRule, sign: int) -> Profile
     if sign < 0:
         favoured = 0
     else:
-        favoured = full if rule.variant in ("csr", "lsr") else mask_of(members)
+        favoured = mask_of(members) if rule.column_local else full
     pos = [rp | (~rk & favoured) for rp, rk in zip(profile.row_pos, profile.row_known)]
     if rule.variant == "ternary":
         # no quota bound, so neither diagonal value dominates: where +1 misses
@@ -335,9 +332,7 @@ def r_nqi(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     """Necessary qualification under exactly-r rows.
 
     Handles consent rules for any quotas, and the sequential rules for
-    r = 1, where each row's single +1 collapses them: the liberal rule
-    returns exactly the self-approvers and the consensual rule returns
-    the lone unanimous column or nothing.  A row whose need equals its
+    r = 1 through _r1_sequential.  A row whose need equals its
     unknown count must spend them all, so a column's forced mask holds
     its known +1 rows and the spend-all rows where it is unknown; every
     other row is dodgeable, a known -1 or an unknown in a row with slack
@@ -346,24 +341,19 @@ def r_nqi(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     """
     if rule.variant == "ternary":
         raise PreconditionViolated("the r solver handles consent, csr and lsr rules")
-    if rule.variant in ("csr", "lsr") and r != 1:
+    if not rule.column_local and r != 1:
         raise PreconditionViolated("sequential rules are only solved directly for r = 1")
     members = _check_query(profile, subset, rule)
     n = profile.n
     needs = row_needs(profile, r)
     spend_all = mask_of(b for b, (need, known) in enumerate(zip(needs, profile.row_known))
                         if need == n - known.bit_count())
-    if rule.variant == "lsr":
-        return not mask_of(members) & ~(profile.diag_pos | (~profile.diag_known & spend_all))
-
-    def forced(a: int) -> int:
-        return profile.col_pos[a] | (~profile.col_known[a] & spend_all)
-
-    if rule.variant == "csr":
-        return len(members) == 1 and forced(members[0]) == full_mask(n)
+    if not rule.column_local:
+        return _r1_sequential(profile, mask_of(members), rule, spend_all)
     for a in members:
         bit = 1 << a
-        quals_off = (forced(a) & ~bit).bit_count()
+        forced = profile.col_pos[a] | (~profile.col_known[a] & spend_all)
+        quals_off = (forced & ~bit).bit_count()
         loses_as_plus = 1 + quals_off < rule.s
         # the n - 1 - quals_off dodgeable cells plus a's own -1
         loses_as_minus = n - quals_off >= rule.t
@@ -381,33 +371,43 @@ def r_nqi(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     return True
 
 
+def _r1_sequential(profile: Profile, wanted: int, rule: SocialRule, plus_rows: int) -> bool:
+    """csr/lsr at r = 1: whether the nonempty set wanted qualifies once
+    every row in plus_rows aims its one +1 at an unknown cell of its choice.
+
+    Each row's single +1 collapses the rules: lsr returns exactly the
+    self-approvers and csr the lone column every row approves, or nothing.
+    NQI passes the rows that must spend every unknown on +1, PQI the rows
+    that still have a +1 to place.
+    """
+    if rule.variant == "lsr":
+        return not wanted & ~(profile.diag_pos | (~profile.diag_known & plus_rows))
+    if wanted & (wanted - 1):
+        return False  # csr qualifies one member at most
+    a = wanted.bit_length() - 1
+    return profile.col_pos[a] | (~profile.col_known[a] & plus_rows) == full_mask(profile.n)
+
+
 def r_sequential(profile: Profile, subset, r: int, rule: SocialRule, mode: str,
                  search: SearchBudget = DEFAULT_SEARCH) -> bool | None:
     """Exactly-r csr/lsr queries decided without enumeration, or None.
 
     It refuses exactly what pqi_nqi_brute refuses, in the same order and
-    under the same node limit.  At r = 1 PQI is exact: each row's one +1
-    makes lsr return the self-approvers and csr the lone column every row
-    approves, so S is possible iff the rows it needs can aim their +1 at
-    it.  Otherwise the canonical completions bound every r-extension, one
+    under the same node limit.  At r = 1 PQI is exact (_r1_sequential):
+    S is possible iff the rows it needs can aim their +1 at it.
+    Otherwise the canonical completions bound every r-extension, one
     of which exists: if the all--1 completion qualifies S, every one does,
     and if the all-+1 completion misses S, none does.  In between the
     answer is None and the query is left to enumeration.
     """
-    if rule.variant not in ("csr", "lsr"):
+    if rule.column_local:
         raise PreconditionViolated("the sequential r route handles csr and lsr rules")
     wanted = _query_mask(profile, subset)
     needs = _r_extension_needs(profile, r, search)
     if not wanted:
         return True  # the empty set qualifies under every completion
     if r == 1 and mode == PQI:
-        aims = mask_of(b for b, need in enumerate(needs) if need)
-        if rule.variant == "lsr":
-            return not wanted & ~(profile.diag_pos | (~profile.diag_known & aims))
-        if wanted & (wanted - 1):
-            return False  # csr qualifies one member at most
-        a = wanted.bit_length() - 1
-        return profile.col_pos[a] | (~profile.col_known[a] & aims) == full_mask(profile.n)
+        return _r1_sequential(profile, wanted, rule, mask_of(b for b, need in enumerate(needs) if need))
     full = full_mask(profile.n)
     if not wanted & ~eval_mask(rule, full, _extension(profile, subset, rule, -1)):
         return True
@@ -427,10 +427,9 @@ def answer_query(profile: Profile, query: PartialQuery, rule: SocialRule,
         if rule.t == 1 and rule.s >= 2:
             return r_pqi_consent_flow(profile, query.subset, query.r, rule), "r_pqi_consent_flow"
         return r_pqi_general(profile, query.subset, query.r, rule), "r_pqi_general"
-    if query.mode == NQI and (rule.variant == "consent"
-                              or (rule.variant in ("csr", "lsr") and query.r == 1)):
+    if query.mode == NQI and (rule.variant == "consent" or (not rule.column_local and query.r == 1)):
         return r_nqi(profile, query.subset, query.r, rule), "r_nqi"
-    if rule.variant in ("csr", "lsr"):
+    if not rule.column_local:
         answer = r_sequential(profile, query.subset, query.r, rule, query.mode, search)
         if answer is not None:
             return answer, "r_sequential"

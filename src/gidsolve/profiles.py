@@ -265,12 +265,24 @@ class SocialRule:
 
     For the ternary variant s_prime=None selects the majority quota
     ceil((n+1)/2), resolved against the profile size at evaluation time.
+
+    column_local is the one statement of how the families split.  Consent
+    and ternary rules are column-local: a member's status depends only on
+    its own column (its diagonal and that side's count over T), so members
+    never compete for a cell.  csr and lsr are not: qualification spreads
+    along +1 rows from member to member.
     """
 
     variant: str
     s: int | None = None
     t: int | None = None
     s_prime: int | None = None
+    # set by __post_init__ rather than read through a property: eval_mask
+    # tests it once per oracle candidate
+    column_local: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "column_local", self.variant in ("consent", "ternary"))
 
     @staticmethod
     def consent(s: int, t: int) -> "SocialRule":
@@ -359,13 +371,6 @@ class EvalTrace:
     rounds: tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class Digraph:
-    n: int
-    names: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
-
-
 def ensure_applicable(rule: SocialRule, profile: Profile):
     """Check rule/profile kind compatibility and the consent quota bound."""
     if rule.variant == "ternary":
@@ -390,7 +395,7 @@ def eval_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
     Callers run ensure_applicable once and may then evaluate any number of
     masks and profiles of the same n and kind.
     """
-    if rule.variant in ("consent", "ternary"):
+    if rule.column_local:
         return _quota_mask(rule, t_mask, profile)
     return _sequential_rounds(rule.variant, t_mask, profile)[-1]
 
@@ -475,7 +480,7 @@ def eval(rule: SocialRule, subset, profile: Profile, want_trace: bool = False):
     # the applicability check eval_mask and _sequential_rounds rely on
     ensure_applicable(rule, profile)
     t_mask = subset_mask(subset, profile)
-    if rule.variant in ("csr", "lsr"):
+    if not rule.column_local:
         rounds = _sequential_rounds(rule.variant, t_mask, profile)
         result = frozenset(bits(rounds[-1]))
         if want_trace:
@@ -494,17 +499,6 @@ def negate(profile: Profile) -> Profile:
     return Profile(
         n=profile.n, kind="binary", names=profile.names, row_pos=flipped, row_known=profile.row_known
     )
-
-
-def qualification_graph(profile: Profile) -> Digraph:
-    """Directed graph with an edge (a, b) for every +1 entry; loops allowed."""
-    if profile.kind != "binary":
-        raise RuleNotApplicable("qualification graph is defined for binary profiles only")
-    edges = []
-    for a in range(profile.n):
-        for b in bits(profile.row_pos[a]):
-            edges.append((a, b))
-    return Digraph(n=profile.n, names=profile.names, edges=tuple(edges))
 
 
 def parse_profile(text: str) -> Profile:

@@ -550,7 +550,7 @@ SOLVERS = (
     ), _cgcai_r1),
     SolverSpec("microbribery_consent", (
         (lambda i: i.family == "GMB", "this algorithm handles GMB only"),
-        (lambda i: i.rule.variant in ("consent", "ternary"),
+        (lambda i: i.rule.column_local,
          "sequential rules are out of scope for columnwise microbribery"),
     ), _microbribery_consent),
     SolverSpec("fpt_ilp", (

@@ -529,6 +529,21 @@ def test_gen_count_below_one_is_config_error(capsys, tmp_path):
         "profile_binary_n5_s5.gid", "profile_binary_n5_s6.gid"]
 
 
+def test_refused_gen_leaves_no_directory(capsys, tmp_path):
+    out_dir = tmp_path / "g"
+    for args, text in (
+        (["profile", "--n", "-1"], "profile size must be non-negative, got -1"),
+        (["r-profile", "--r", "0"], "r must satisfy 1 <= r <= n, got r=0 n=5"),
+        (["profile", "--star-density", "2"], "star density must lie in [0, 1], got 2.0"),
+        (["cgb", "--no", "--m", "1"], "cover-free families need m >= 2"),
+    ):
+        code, out, err = run(capsys, ["gen", *args, "--out", str(out_dir)])
+        assert code == 3
+        assert out == ""
+        assert text in err
+        assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------- parser
 
 

@@ -556,6 +556,22 @@ def test_r_sequential_refusals():
         r_sequential(make_profile([[0, 0], [0, 0]], kind="partial"), {0}, 1, lsr, PQI, SearchBudget(3))
 
 
+def test_every_route_names_the_same_out_of_range_index():
+    # the index pqi_nqi_brute names, whichever order the set is written in
+    profile = make_profile([[1, 0], [0, 1]], kind="partial")
+    subset = {5, -1}
+    routes = (
+        lambda: pqi_nqi_brute(profile, subset, consent(1, 1), r=1),
+        lambda: pqi(profile, PartialQuery(subset, PQI), consent(1, 1)),
+        lambda: r_pqi_general(profile, subset, 1, consent(1, 1)),
+        lambda: r_nqi(profile, subset, 1, consent(1, 1)),
+        lambda: r_sequential(profile, subset, 1, SocialRule.lsr(), PQI),
+    )
+    for route in routes:
+        with pytest.raises(IndexOutOfRange, match="^individual index 5 out of range for n=2$"):
+            route()
+
+
 # ------------------------------------------------- exhaustive small profiles
 
 

@@ -19,7 +19,6 @@ from gidsolve.profiles import (
     make_profile,
     negate,
     parse_profile,
-    qualification_graph,
 )
 
 from helpers import EX1_TEXT, ex1, names, random_binary
@@ -325,18 +324,6 @@ def test_csr_empty_seed_gives_empty_result():
     result, trace = eval(SocialRule.csr(), None, p, want_trace=True)
     assert result == frozenset()
     assert trace.rounds == (frozenset(),)
-
-
-def test_qualification_graph_example():
-    g = qualification_graph(ex1())
-    assert len(g.edges) == 14
-    loops = {a for a, b in g.edges if a == b}
-    assert loops == {0, 2, 3}
-
-
-def test_qualification_graph_extremes():
-    assert qualification_graph(make_profile([[-1] * 3 for _ in range(3)])).edges == ()
-    assert len(qualification_graph(make_profile([[1] * 3 for _ in range(3)])).edges) == 9
 
 
 def test_parse_roundtrip():
