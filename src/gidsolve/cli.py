@@ -60,6 +60,7 @@ from .generators import (
     gen_random_r_profile,
     gen_rx3c,
     gen_rx3c_no,
+    random_instance,
     rx3c_to_cgb,
     rx3c_to_cgcai_r,
 )
@@ -68,7 +69,6 @@ from .instances import (
     diagnostics,
     format_instance,
     hard_violations,
-    make_instance,
     parse_instance,
     validate,
 )
@@ -371,63 +371,13 @@ def cmd_gen(args, argv) -> int:
     return EXIT_YES
 
 
-def _random_instance(rng, family, objective, rule, n):
-    """One random valid instance; the scheme is fixed so seeds reproduce runs."""
-    kind = "ternary" if rule.variant == "ternary" else "binary"
-    density = 0.3 if kind == "ternary" else 0.0
-    profile = gen_random_profile(n, kind, density, seed=rng.randrange(1 << 30))
-    if family == "GCAI":
-        low = 2 if objective in ("general", "exact") else 1
-        pool = sorted(rng.sample(range(n), rng.randrange(low, n + 1)))
-        domain = pool
-    else:
-        pool = None
-        domain = list(range(n))
-    aplus: list[int] = []
-    aminus: list[int] = []
-    if objective == "constructive":
-        aplus = rng.sample(domain, rng.randrange(1, len(domain) + 1))
-    elif objective == "destructive":
-        aminus = rng.sample(domain, rng.randrange(1, len(domain) + 1))
-    elif objective == "general":
-        aplus = rng.sample(domain, rng.randrange(1, len(domain)))
-        rest = [x for x in domain if x not in set(aplus)]
-        aminus = rng.sample(rest, rng.randrange(1, len(rest) + 1))
-    else:  # exact: targets partition the relevant cover
-        aplus = rng.sample(domain, rng.randrange(0, len(domain) + 1))
-        aminus = [x for x in domain if x not in set(aplus)]
-    budget = None if family == "GCPI" else rng.randrange(0, n + 1)
-    agent_prices = None
-    pair_prices = None
-    if family == "GB" and rng.random() < 0.3:
-        agent_prices = {a: rng.randrange(1, 4) for a in range(n)}
-    if family == "GMB" and rng.random() < 0.3:
-        pair_prices = {
-            (a, b): rng.randrange(1, 4) for a in range(n) for b in range(n)
-        }
-    return make_instance(
-        profile,
-        rule,
-        family,
-        objective,
-        aplus=aplus,
-        aminus=aminus,
-        pool=pool,
-        budget=budget,
-        agent_prices=agent_prices,
-        pair_prices=pair_prices,
-    )
-
-
 def cmd_xval(args, argv) -> int:
     rule = parse_rule_spec(args.rule)
     if args.objective == "general" and args.n < 2:
         raise ParseError("general objectives need n >= 2")
-    sample = gen_random_profile(args.n, "ternary" if rule.variant == "ternary" else "binary",
-                                0.3 if rule.variant == "ternary" else 0.0, seed=0)
-    ensure_applicable(rule, sample)
-    # n < 0 is refused above; the sampling scheme draws at least one target,
-    # and a GCAI exact pool of two or more
+    ensure_applicable(rule, gen_random_profile(args.n))
+    # n < 0 and the quota bound are refused above; random_instance draws at
+    # least one target, and a GCAI exact pool of two or more
     if args.n == 0 and args.objective in ("constructive", "destructive"):
         raise ParseError("%s objectives need n >= 1" % args.objective)
     if args.n < 2 and args.family == "GCAI" and args.objective == "exact":
@@ -440,7 +390,7 @@ def cmd_xval(args, argv) -> int:
     rows: dict[str, list] = {}
     all_agree = True
     for _ in range(args.count):
-        instance = _random_instance(rng, args.family, args.objective, rule, args.n)
+        instance = random_instance(rng, args.family, args.objective, rule, args.n)
         started = time.perf_counter()
         verdict, solver_name = solve_auto(instance, search)
         auto_ms = (time.perf_counter() - started) * 1000.0

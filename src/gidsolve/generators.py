@@ -1,15 +1,16 @@
 """Instance generators: random profiles and planted-answer attacks.
 
 Random profile generators cover the three profile kinds plus the
-exactly-r row restriction.  The hard-instance generators build attack
-instances whose answer is known at generation time: exact-cover
+exactly-r row restriction; random_instance draws the random valid attack
+instances that xval and the tests share.  The hard-instance generators
+build attack instances whose answer is known at generation time: exact-cover
 families are planted with a cover (or verified cover-free by exhaustive
 search) and translated into bribery and control instances, and dummy
 gadgets lift constructive instances to general or exact objectives
 while forcing exactly one extra unit of budget onto the gadget.
 
 Every generator is deterministic given its arguments; randomness only
-enters through explicit seeds.
+enters through explicit seeds or a seeded rng.
 """
 
 from __future__ import annotations
@@ -55,6 +56,46 @@ def gen_random_r_profile(n: int, r: int, seed: int = 0) -> Profile:
         plus = set(rng.sample(range(n), r))
         rows.append([1 if b in plus else -1 for b in range(n)])
     return make_profile(rows, kind="binary")
+
+
+def random_instance(rng: random.Random, family: str, objective: str, rule: SocialRule,
+                    n: int) -> AttackInstance:
+    """One random valid attack instance drawn from rng; the scheme is fixed, so
+    seeds reproduce xval runs.  The caller refuses the shapes it cannot draw:
+    n < 0, a rule not applicable at n, n < 1 for a constructive or destructive
+    objective (one target at least), n < 2 for a general one or exact GCAI."""
+    kind = "ternary" if rule.variant == "ternary" else "binary"
+    density = 0.3 if kind == "ternary" else 0.0
+    profile = gen_random_profile(n, kind, density, seed=rng.randrange(1 << 30))
+    if family == "GCAI":
+        low = 2 if objective in ("general", "exact") else 1
+        pool = sorted(rng.sample(range(n), rng.randrange(low, n + 1)))
+        domain = pool
+    else:
+        pool = None
+        domain = list(range(n))
+    aplus: list[int] = []
+    aminus: list[int] = []
+    if objective == "constructive":
+        aplus = rng.sample(domain, rng.randrange(1, len(domain) + 1))
+    elif objective == "destructive":
+        aminus = rng.sample(domain, rng.randrange(1, len(domain) + 1))
+    elif objective == "general":
+        aplus = rng.sample(domain, rng.randrange(1, len(domain)))
+        rest = [x for x in domain if x not in set(aplus)]
+        aminus = rng.sample(rest, rng.randrange(1, len(rest) + 1))
+    else:  # exact: targets partition the relevant cover
+        aplus = rng.sample(domain, rng.randrange(0, len(domain) + 1))
+        aminus = [x for x in domain if x not in set(aplus)]
+    budget = None if family == "GCPI" else rng.randrange(0, n + 1)
+    agent_prices = None
+    pair_prices = None
+    if family == "GB" and rng.random() < 0.3:
+        agent_prices = {a: rng.randrange(1, 4) for a in range(n)}
+    if family == "GMB" and rng.random() < 0.3:
+        pair_prices = {(a, b): rng.randrange(1, 4) for a in range(n) for b in range(n)}
+    return make_instance(profile, rule, family, objective, aplus=aplus, aminus=aminus, pool=pool,
+                         budget=budget, agent_prices=agent_prices, pair_prices=pair_prices)
 
 
 @dataclass(frozen=True)

@@ -80,11 +80,16 @@ def _first_witness(instance: AttackInstance, candidates, search: SearchBudget) -
             judge = _judge(instance)
         profile = p._derive(candidate) if replaces_rows else p
         if judge(full if replaces_rows else candidate, profile):
-            witness = _solution_of(instance, kind, candidate, profile)
-            if not check_witness(instance, witness):
-                raise RuntimeError("check_witness rejects a witness the search accepted")
-            return Verdict("YES", witness=witness)
+            return _verified_yes(instance, _solution_of(instance, kind, candidate, profile))
     return NO_VERDICT
+
+
+def _verified_yes(instance: AttackInstance, witness: Solution) -> Verdict:
+    """YES with a solver's witness; check_witness rejecting it is an internal
+    fault, so RuntimeError, never an error the CLI maps to an exit code."""
+    if not check_witness(instance, witness):
+        raise RuntimeError("check_witness rejects a witness the solver built")
+    return Verdict("YES", witness=witness)
 
 
 def _solution_of(instance: AttackInstance, kind: str, candidate, profile: Profile) -> Solution:

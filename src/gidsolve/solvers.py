@@ -37,6 +37,7 @@ from .oracle import (
     SearchBudget,
     _first_witness,
     _subsets,
+    _verified_yes,
     solve_bribery_brute,
     solve_control_brute,
     solve_microbribery_brute,
@@ -358,10 +359,7 @@ def _microbribery_consent(instance: AttackInstance, search: SearchBudget) -> Ver
         flips.update(chosen)
     if total > instance.budget:
         return NO_VERDICT
-    witness = Solution.flipped(flips)
-    if not check_witness(instance, witness):
-        raise PreconditionViolated("columnwise microbribery produced a bad witness")
-    return Verdict("YES", witness=witness)
+    return _verified_yes(instance, Solution.flipped(flips))
 
 
 @dataclass(frozen=True)
@@ -486,9 +484,7 @@ def _fpt_ilp(instance: AttackInstance, search: SearchBudget) -> Verdict:
     for j, value in enumerate(assignment):
         picked.extend(model.members[j][:value])
     witness = Solution.added(picked) if instance.family == "GCAI" else Solution.deleted(picked)
-    if not check_witness(instance, witness):
-        raise PreconditionViolated("ilp reconstruction produced a bad witness")
-    return Verdict("YES", witness=witness)
+    return _verified_yes(instance, witness)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,5 @@
 """Shared fixtures for the test suite."""
 
-import random
-
 from gidsolve.profiles import SocialRule, make_profile
 
 EX1_ROWS = [
@@ -27,11 +25,6 @@ def ex1():
     return make_profile(EX1_ROWS)
 
 
-def random_binary(n, seed):
-    rng = random.Random(seed)
-    return make_profile([[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)])
-
-
 def names(profile, indices):
     return sorted(profile.names[i] for i in indices)
 
@@ -44,3 +37,33 @@ def valid_rules(n, kind):
         return [SocialRule.ternary(s, sp, t) for s in (1, 2) for sp in (None, 1, 2) for t in (1, 2)]
     consent = [SocialRule.consent(s, t) for s in range(1, n + 2) for t in range(1, n + 3 - s)]
     return consent + [SocialRule.csr(), SocialRule.lsr(), SocialRule.ternary(2, None, 1)]
+
+
+def reference_rounds(rule, t, grid):
+    """The rule on T straight from its definitions, over a cell grid whose
+    grid[b][a] is phi(b, a): the csr/lsr rounds, or the one round of a quota
+    rule.  The last round is the socially qualified subset of T."""
+    t = frozenset(t)
+    if rule.variant in ("csr", "lsr"):
+        if rule.variant == "csr":
+            k = frozenset(a for a in t if all(grid[b][a] == 1 for b in t))
+        else:
+            k = frozenset(a for a in t if grid[a][a] == 1)
+        rounds = [k]
+        while True:
+            k = k | {a for a in t if any(grid[b][a] == 1 for b in k)}
+            if k == rounds[-1]:
+                return rounds
+            rounds.append(k)
+    out = set()
+    for a in t:
+        column = [grid[b][a] for b in t]
+        if grid[a][a] == 1:
+            ok = column.count(1) >= rule.s
+        elif grid[a][a] == -1:
+            ok = column.count(-1) < rule.t
+        else:
+            ok = column.count(1) >= rule.effective_s_prime(len(grid))
+        if ok:
+            out.add(a)
+    return [frozenset(out)]

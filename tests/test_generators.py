@@ -17,10 +17,13 @@ from gidsolve.generators import (
     gen_rx3c,
     gen_rx3c_no,
     has_exact_cover,
+    random_instance,
     rx3c_to_cgb,
     rx3c_to_cgcai_r,
 )
 from gidsolve.instances import (
+    FAMILIES,
+    OBJECTIVES,
     diagnostics,
     format_instance,
     hard_violations,
@@ -80,6 +83,25 @@ def test_random_r_profile():
         gen_random_r_profile(5, 0, seed=0)
     with pytest.raises(InvalidR):
         gen_random_r_profile(5, 6, seed=0)
+
+
+def test_random_instance_draws_are_pinned():
+    """Same seeds draw the same instances: xval's reports rest on these bytes."""
+    rules = (SocialRule.consent(2, 1), SocialRule.csr(), SocialRule.lsr(), SocialRule.ternary(2, None, 2))
+    rng = random.Random(17)
+    digest = hashlib.sha256()
+    priced = set()
+    for family in FAMILIES:
+        for objective in OBJECTIVES:
+            for rule in rules:
+                for n in (2, 5):
+                    inst = random_instance(rng, family, objective, rule, n)
+                    digest.update(format_profile(inst.profile).encode())
+                    digest.update(format_instance(inst, "p.gid").encode())
+                    if inst.agent_prices or inst.pair_prices:
+                        priced.add(family)
+    assert priced == {"GB", "GMB"}
+    assert digest.hexdigest() == "fe8c3f8ce11433414c957ab2f2518b69d1a4c835a15ce154bbbb794468d0ed21"
 
 
 # ---------------------------------------------------------- cover families

@@ -13,6 +13,7 @@ from gidsolve.errors import (
     RuleNotApplicable,
     WitnessOutOfDomain,
 )
+from gidsolve.generators import gen_random_profile
 from gidsolve.instances import (
     OBJECTIVES,
     Solution,
@@ -27,7 +28,7 @@ from gidsolve.instances import (
 )
 from gidsolve.profiles import Profile, SocialRule, default_names, format_profile, make_profile, negate
 
-from helpers import EX1_TEXT, ex1, valid_rules
+from helpers import EX1_TEXT, ex1, reference_rounds, valid_rules
 
 
 def gcai(profile, rule, aplus=(), aminus=(), pool=None, budget=0, **kw):
@@ -480,65 +481,38 @@ def test_parse_reports_bad_lines():
 
 # -- check_witness against a frozenset reference ----------------------------
 
-def _reference_eval(rule, t, grid):
-    """Socially qualified members of T, from the rule definitions on a cell grid."""
-    n = len(grid)
-    if rule.variant in ("csr", "lsr"):
-        if rule.variant == "csr":
-            k = {a for a in t if all(grid[b][a] == 1 for b in t)}
-        else:
-            k = {a for a in t if grid[a][a] == 1}
-        while True:
-            grown = k | {a for a in t if any(grid[b][a] == 1 for b in k)}
-            if grown == k:
-                return frozenset(k)
-            k = grown
-    out = set()
-    for a in t:
-        column = [grid[b][a] for b in t]
-        if grid[a][a] == 1:
-            ok = column.count(1) >= rule.s
-        elif grid[a][a] == -1:
-            ok = column.count(-1) < rule.t
-        else:
-            ok = column.count(1) >= rule.effective_s_prime(n)
-        if ok:
-            out.add(a)
-    return frozenset(out)
-
-
 def _reference_check(inst, sol):
     """The attack definitions on frozensets and a cell grid (in-domain witnesses)."""
     p = inst.profile
     everyone = frozenset(range(p.n))
-    grid = [[p.entry(a, b) for b in range(p.n)] for a in range(p.n)]
+    grid = p.rows()
     agent_price = dict(inst.agent_prices)
     pair_price = dict(inst.pair_prices)
     rule = inst.rule
     if sol.kind == "added":
         if len(sol.members) > inst.budget:
             return False
-        final = _reference_eval(rule, inst.pool | sol.members, grid)
+        final = reference_rounds(rule, inst.pool | sol.members, grid)[-1]
     elif sol.kind == "deleted":
         if len(sol.members) > inst.budget:
             return False
-        final = _reference_eval(rule, everyone - sol.members, grid)
+        final = reference_rounds(rule, everyone - sol.members, grid)[-1]
     elif sol.kind == "partition":
-        winners = (_reference_eval(rule, sol.members, grid)
-                   | _reference_eval(rule, everyone - sol.members, grid))
-        final = _reference_eval(rule, winners, grid)
+        winners = (reference_rounds(rule, sol.members, grid)[-1]
+                   | reference_rounds(rule, everyone - sol.members, grid)[-1])
+        final = reference_rounds(rule, winners, grid)[-1]
     elif sol.kind == "bribed":
         if sum(agent_price.get(a, 1) for a in sol.members) > inst.budget:
             return False
         for a, cells in sol.rows:
             grid[a] = list(cells)
-        final = _reference_eval(rule, everyone, grid)
+        final = reference_rounds(rule, everyone, grid)[-1]
     else:
         if sum(pair_price.get((a, b), 1) for a, b, _v in sol.flips) > inst.budget:
             return False
         for a, b, v in sol.flips:
             grid[a][b] = v
-        final = _reference_eval(rule, everyone, grid)
+        final = reference_rounds(rule, everyone, grid)[-1]
     constructive_ok = inst.aplus <= final
     destructive_ok = not (inst.aminus & final)
     if inst.objective == "constructive":
@@ -681,7 +655,7 @@ def test_costs_match_linear_scan():
     rng = random.Random(12)
     for _ in range(100):
         n = rng.randint(1, 6)
-        p = make_profile([[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)])
+        p = gen_random_profile(n, seed=rng.randrange(1 << 30))
         agents = {a: rng.randint(1, 5) for a in range(n) if rng.random() < 0.6}
         pairs = {(a, b): rng.randint(1, 5) for a in range(n) for b in range(n) if rng.random() < 0.4}
         gb = make_instance(p, SocialRule.csr(), "GB", "constructive", aplus=(0,), budget=2,

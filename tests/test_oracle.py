@@ -13,7 +13,7 @@ from gidsolve.errors import (
     QuotaConstraintViolated,
     WrongKind,
 )
-from gidsolve.generators import gen_rx3c, gen_rx3c_no, rx3c_to_cgb
+from gidsolve.generators import gen_random_profile, gen_rx3c, gen_rx3c_no, rx3c_to_cgb
 from gidsolve.instances import (
     FAMILY_KIND,
     NO_VERDICT,
@@ -35,13 +35,7 @@ from gidsolve.oracle import (
 from gidsolve.profiles import Profile, SocialRule, make_profile, negate
 from gidsolve.solvers import ORACLE_FOR_FAMILY, ORACLES, solve_cgb_xp
 
-from helpers import ex1, random_binary, valid_rules
-
-
-def random_ternary(n, seed):
-    rng = random.Random(seed)
-    rows = [[rng.choice((1, 1, -1, -1, 0)) for _ in range(n)] for _ in range(n)]
-    return make_profile(rows, kind="ternary")
+from helpers import ex1, valid_rules
 
 
 def test_control_gcdi_witness_order():
@@ -71,7 +65,7 @@ def test_control_gcpi_immune_case_says_no():
 def test_control_gcpi_matches_uncanonicalized_enumeration():
     for seed in range(25):
         n = 3 + seed % 3
-        p = random_binary(n, seed)
+        p = gen_random_profile(n, seed=seed)
         rng = random.Random(1000 + seed)
         rule = SocialRule.consent(rng.randint(1, 2), rng.randint(1, 2))
         targets = rng.sample(range(n), 2)
@@ -91,7 +85,7 @@ def test_control_gcpi_matches_uncanonicalized_enumeration():
 def test_control_budget_monotone():
     for seed in range(30):
         n = 4 + seed % 2
-        p = random_binary(n, seed)
+        p = gen_random_profile(n, seed=seed)
         rng = random.Random(2000 + seed)
         family = rng.choice(("GCAI", "GCDI"))
         rule = SocialRule.consent(rng.randint(1, 3), rng.randint(1, 2))
@@ -126,7 +120,7 @@ def bribery_cases():
     cases = []
     for seed in range(16):
         n = 3 if seed % 2 else 4
-        p = random_binary(n, seed)
+        p = gen_random_profile(n, seed=seed)
         rng = random.Random(3000 + seed)
         picks = rng.sample(range(n), 2)
         rules = [
@@ -143,13 +137,13 @@ def bribery_cases():
     # exact objective needs full coverage of N
     for seed in range(4):
         n = 3
-        p = random_binary(n, 100 + seed)
+        p = gen_random_profile(n, seed=100 + seed)
         rule = (SocialRule.consent(2, 1), SocialRule.lsr(),
                 SocialRule.consent(1, 2), SocialRule.csr())[seed]
         cases.append((p, rule, "exact", (0,), (1, 2), 2))
     # ternary profiles with star diagonals
     for seed in range(4):
-        p = random_ternary(3, 200 + seed)
+        p = gen_random_profile(3, "ternary", 0.2, 200 + seed)
         rule = SocialRule.ternary(2, 1 + seed % 3, 2)
         cases.append((p, rule, ("constructive", "general")[seed % 2], (0,), (2,) if seed % 2 else (), 1))
     return cases
@@ -166,7 +160,7 @@ def test_bribery_matches_full_row_enumeration():
 
 
 def test_bribery_empty_targets_trivial_yes():
-    inst = make_instance(random_binary(4, 7), SocialRule.consent(2, 2), "GB",
+    inst = make_instance(gen_random_profile(4, seed=7), SocialRule.consent(2, 2), "GB",
                          "general", budget=0)
     verdict = solve_bribery_brute(inst)
     assert verdict.answer == "YES"
@@ -176,7 +170,7 @@ def test_bribery_empty_targets_trivial_yes():
 def test_bribery_full_budget_constructive_yes():
     for seed in range(5):
         n = 4
-        p = random_binary(n, 400 + seed)
+        p = gen_random_profile(n, seed=400 + seed)
         inst = make_instance(p, SocialRule.consent(2, 2), "GB", "constructive",
                              aplus=(0, 1), budget=n)
         assert solve_bribery_brute(inst).answer == "YES"
@@ -201,7 +195,7 @@ def test_bribery_prices_respected():
 def test_bribery_duality_transport():
     for seed in range(20):
         n = 3 + seed % 3
-        p = random_binary(n, 500 + seed)
+        p = gen_random_profile(n, seed=500 + seed)
         rng = random.Random(600 + seed)
         s = rng.randint(1, 3)
         t = rng.randint(1, n + 2 - s)
@@ -234,7 +228,8 @@ def test_microbribery_matches_full_entry_enumeration():
     for seed in range(14):
         n = 3
         kind_ternary = seed % 2 == 0
-        p = random_ternary(n, 700 + seed) if kind_ternary else random_binary(n, 700 + seed)
+        p = (gen_random_profile(n, "ternary", 0.2, 700 + seed) if kind_ternary
+             else gen_random_profile(n, seed=700 + seed))
         rng = random.Random(800 + seed)
         if kind_ternary:
             rule = SocialRule.ternary(rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
@@ -276,7 +271,7 @@ def test_microbribery_single_flip_disqualifies():
 
 def test_microbribery_trivial_budget_zero():
     # already satisfied instance: the empty flip set wins at budget 0
-    p = random_binary(4, 901)
+    p = gen_random_profile(4, seed=901)
     qualified = sorted(profiles.eval(SocialRule.consent(1, 1), None, p))
     inst = make_instance(p, SocialRule.consent(1, 1), "GMB", "constructive",
                          aplus=qualified[:1], budget=0)
@@ -286,7 +281,7 @@ def test_microbribery_trivial_budget_zero():
 
 
 def test_node_limit_enforced():
-    inst = make_instance(random_binary(5, 77), SocialRule.consent(2, 2), "GCDI",
+    inst = make_instance(gen_random_profile(5, seed=77), SocialRule.consent(2, 2), "GCDI",
                          "constructive", aplus=(0,), budget=3)
     with pytest.raises(InstanceTooLarge):
         solve_control_brute(inst, SearchBudget(node_limit=0))
@@ -295,17 +290,17 @@ def test_node_limit_enforced():
     # checks: a limit of C answers NO, a limit of C - 1 refuses.
     consent22 = SocialRule.consent(2, 2)
     table = [
-        (solve_control_brute, make_instance(random_binary(6, 77), consent22, "GCAI", "constructive",
+        (solve_control_brute, make_instance(gen_random_profile(6, seed=77), consent22, "GCAI", "constructive",
                                             aplus=(0,), pool=(0, 1, 2), budget=2), 7),
-        (solve_control_brute, make_instance(random_binary(5, 87), consent22, "GCDI", "constructive",
+        (solve_control_brute, make_instance(gen_random_profile(5, seed=87), consent22, "GCDI", "constructive",
                                             aplus=(0,), budget=3), 15),
-        (solve_control_brute, make_instance(random_binary(5, 78), consent22, "GCPI", "general",
+        (solve_control_brute, make_instance(gen_random_profile(5, seed=78), consent22, "GCPI", "general",
                                             aplus=(0,), aminus=(1,)), 16),
-        (solve_bribery_brute, make_instance(random_binary(5, 81), consent22, "GB", "general",
+        (solve_bribery_brute, make_instance(gen_random_profile(5, seed=81), consent22, "GB", "general",
                                             aplus=(0,), aminus=(1,), budget=1), 8),
-        (solve_bribery_brute, make_instance(random_binary(5, 82), SocialRule.csr(), "GB", "general",
+        (solve_bribery_brute, make_instance(gen_random_profile(5, seed=82), SocialRule.csr(), "GB", "general",
                                             aplus=(0,), aminus=(1,), budget=2), 16),
-        (solve_microbribery_brute, make_instance(random_binary(4, 96), consent22, "GMB", "constructive",
+        (solve_microbribery_brute, make_instance(gen_random_profile(4, seed=96), consent22, "GMB", "constructive",
                                                  aplus=(0, 1), budget=2), 37),
         (solve_cgb_xp, rx3c_to_cgb(gen_rx3c_no(2, seed=1)), 79),
     ]
@@ -317,7 +312,7 @@ def test_node_limit_enforced():
 
 
 def test_family_preconditions():
-    p = random_binary(3, 5)
+    p = gen_random_profile(3, seed=5)
     gb = make_instance(p, SocialRule.consent(1, 1), "GB", "constructive",
                        aplus=(0,), budget=1)
     with pytest.raises(PreconditionViolated):
@@ -480,19 +475,19 @@ def test_column_views_built_only_where_read(monkeypatch):
     for rule in (SocialRule.csr(), SocialRule.lsr()):
         runs = {
             "bribery": lambda: solve_bribery_brute(make_instance(
-                random_binary(5, 82), rule, "GB", "general", aplus=(0,), aminus=(1,), budget=2)),
+                gen_random_profile(5, seed=82), rule, "GB", "general", aplus=(0,), aminus=(1,), budget=2)),
             "microbribery": lambda: solve_microbribery_brute(make_instance(
-                random_binary(5, 81), rule, "GMB", "general", aplus=(0,), aminus=(1,), budget=1)),
+                gen_random_profile(5, seed=81), rule, "GMB", "general", aplus=(0,), aminus=(1,), budget=1)),
             "completions": lambda: pqi_nqi_brute(partial_p, (0, 1), rule),
             "r-completions": lambda: pqi_nqi_brute(one_each, (0,), rule, r=1),
-            "eval": lambda: profiles.eval(rule, (0, 1, 3), random_binary(5, 3), want_trace=True),
+            "eval": lambda: profiles.eval(rule, (0, 1, 3), gen_random_profile(5, seed=3), want_trace=True),
         }
         for name, run in runs.items():
             result = run()
             assert built == [], (rule.variant, name)
             if name in ("bribery", "microbribery"):
                 assert result.answer == "NO", (rule.variant, name)
-    p = random_binary(5, 3)
+    p = gen_random_profile(5, seed=3)
     first = profiles.eval(SocialRule.consent(2, 1), None, p)
     second = profiles.eval(SocialRule.consent(2, 1), None, p)
     assert first == second
@@ -515,17 +510,17 @@ def test_oracles_skip_public_eval(monkeypatch):
     one_each = make_profile([[0, 0, -1], [-1, 0, 0], [0, -1, 0]], kind="partial")
     no_runs = {
         "GCAI": lambda: solve_control_brute(make_instance(
-            random_binary(6, 77), consent22, "GCAI", "constructive", aplus=(0,), pool=(0, 1, 2), budget=2)),
+            gen_random_profile(6, seed=77), consent22, "GCAI", "constructive", aplus=(0,), pool=(0, 1, 2), budget=2)),
         "GCDI": lambda: solve_control_brute(make_instance(
-            random_binary(5, 87), consent22, "GCDI", "constructive", aplus=(0,), budget=3)),
+            gen_random_profile(5, seed=87), consent22, "GCDI", "constructive", aplus=(0,), budget=3)),
         "GCPI": lambda: solve_control_brute(make_instance(
-            random_binary(5, 78), consent22, "GCPI", "general", aplus=(0,), aminus=(1,))),
+            gen_random_profile(5, seed=78), consent22, "GCPI", "general", aplus=(0,), aminus=(1,))),
         "bribery": lambda: solve_bribery_brute(make_instance(
-            random_binary(5, 81), consent22, "GB", "general", aplus=(0,), aminus=(1,), budget=1)),
+            gen_random_profile(5, seed=81), consent22, "GB", "general", aplus=(0,), aminus=(1,), budget=1)),
         "bribery-csr": lambda: solve_bribery_brute(make_instance(
-            random_binary(5, 82), SocialRule.csr(), "GB", "general", aplus=(0,), aminus=(1,), budget=2)),
+            gen_random_profile(5, seed=82), SocialRule.csr(), "GB", "general", aplus=(0,), aminus=(1,), budget=2)),
         "microbribery": lambda: solve_microbribery_brute(make_instance(
-            random_binary(4, 96), consent22, "GMB", "constructive", aplus=(0, 1), budget=2)),
+            gen_random_profile(4, seed=96), consent22, "GMB", "constructive", aplus=(0, 1), budget=2)),
     }
     for name, run in no_runs.items():
         assert run().answer == "NO", name
@@ -640,22 +635,22 @@ def _pinned_searches():
     # (name, run, answer): the NO instances of test_node_limit_enforced and
     # YES instances of each search
     consent22 = SocialRule.consent(2, 2)
-    gb_csr = make_instance(random_binary(5, 82), SocialRule.csr(), "GB", "general", aplus=(0,), aminus=(1,),
+    gb_csr = make_instance(gen_random_profile(5, seed=82), SocialRule.csr(), "GB", "general", aplus=(0,), aminus=(1,),
                            budget=2)
     cgb_no = rx3c_to_cgb(gen_rx3c_no(2, seed=1))
     cgb_yes = rx3c_to_cgb(gen_rx3c(2, seed=1))
     return [
         ("GCAI", lambda: solve_control_brute(make_instance(
-            random_binary(6, 77), consent22, "GCAI", "constructive", aplus=(0,), pool=(0, 1, 2), budget=2)), "NO"),
+            gen_random_profile(6, seed=77), consent22, "GCAI", "constructive", aplus=(0,), pool=(0, 1, 2), budget=2)), "NO"),
         ("GCDI", lambda: solve_control_brute(make_instance(
-            random_binary(5, 87), consent22, "GCDI", "constructive", aplus=(0,), budget=3)), "NO"),
+            gen_random_profile(5, seed=87), consent22, "GCDI", "constructive", aplus=(0,), budget=3)), "NO"),
         ("GCPI", lambda: solve_control_brute(make_instance(
-            random_binary(5, 78), consent22, "GCPI", "general", aplus=(0,), aminus=(1,))), "NO"),
+            gen_random_profile(5, seed=78), consent22, "GCPI", "general", aplus=(0,), aminus=(1,))), "NO"),
         ("GB", lambda: solve_bribery_brute(make_instance(
-            random_binary(5, 81), consent22, "GB", "general", aplus=(0,), aminus=(1,), budget=1)), "NO"),
+            gen_random_profile(5, seed=81), consent22, "GB", "general", aplus=(0,), aminus=(1,), budget=1)), "NO"),
         ("GB csr", lambda: solve_bribery_brute(gb_csr), "NO"),
         ("GMB", lambda: solve_microbribery_brute(make_instance(
-            random_binary(4, 96), consent22, "GMB", "constructive", aplus=(0, 1), budget=2)), "NO"),
+            gen_random_profile(4, seed=96), consent22, "GMB", "constructive", aplus=(0, 1), budget=2)), "NO"),
         ("cgb_xp", lambda: solvers._gb_xp(cgb_no, DEFAULT_SEARCH, 1), "NO"),
         ("GCDI yes", lambda: solve_control_brute(make_instance(
             ex1(), SocialRule.consent(1, 3), "GCDI", "constructive", aplus=(4,), budget=1)), "YES"),
@@ -706,7 +701,7 @@ def test_search_builds_and_checks_only_the_witness(monkeypatch):
 def test_consent_bribery_patches_derived_column_views(monkeypatch):
     # the instance's profile transposes once; every bribed profile starts
     # from its views and writes only the bribed rows in
-    inst = make_instance(random_binary(5, 81), SocialRule.consent(2, 2), "GB", "general",
+    inst = make_instance(gen_random_profile(5, seed=81), SocialRule.consent(2, 2), "GB", "general",
                          aplus=(0,), aminus=(1,), budget=1)
     builds = []
     original = profiles.Profile._columns

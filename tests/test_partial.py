@@ -18,6 +18,7 @@ from gidsolve.errors import (
     QuotaConstraintViolated,
     WrongKind,
 )
+from gidsolve.generators import gen_random_profile
 from gidsolve.oracle import SearchBudget, pqi_nqi_brute
 from gidsolve.partial import (
     NQI,
@@ -204,8 +205,7 @@ def test_pqi_nqi_on_fully_known_profiles():
     rng = random.Random(431)
     for _ in range(20):
         n = rng.randrange(2, 5)
-        rows = [[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)]
-        profile = make_profile(rows, kind="binary")
+        profile = gen_random_profile(n, seed=rng.randrange(1 << 30))
         rule = rng.choice(
             [random_consent(rng, n), SocialRule.csr(), SocialRule.lsr()]
         )

@@ -21,7 +21,7 @@ from gidsolve.profiles import (
     parse_profile,
 )
 
-from helpers import EX1_TEXT, ex1, names, random_binary
+from helpers import EX1_TEXT, ex1, names, reference_rounds
 
 
 def test_example_consent_sets():
@@ -125,7 +125,7 @@ def test_ternary_majority_shorthand():
 
 def test_ternary_on_binary_matches_consent():
     for seed in range(20):
-        p = random_binary(5, seed)
+        p = generators.gen_random_profile(5, seed=seed)
         for s, t in itertools.product(range(1, 4), repeat=2):
             want = eval(SocialRule.consent(s, t), None, p)
             for s_prime in (1, 3, None):
@@ -155,7 +155,7 @@ def test_duality_on_example():
 def test_duality_random_profiles():
     for seed in range(30):
         n = 1 + seed % 5
-        p = random_binary(n, seed)
+        p = generators.gen_random_profile(n, seed=seed)
         full = frozenset(range(n))
         for s in range(1, n + 2):
             for t in range(1, n + 3 - s):
@@ -167,7 +167,7 @@ def test_duality_random_profiles():
 def test_consent_monotone_in_entries():
     # flipping phi(b,a) from -1 to +1 never kicks a out
     for seed in range(10):
-        p = random_binary(4, seed)
+        p = generators.gen_random_profile(4, seed=seed)
         for s, t in itertools.product(range(1, 4), repeat=2):
             rule = SocialRule.consent(s, t)
             base = eval(rule, None, p)
@@ -182,7 +182,7 @@ def test_consent_monotone_in_entries():
 
 def test_sequential_rules_reach_fixed_point():
     for seed in range(20):
-        p = random_binary(5, seed)
+        p = generators.gen_random_profile(5, seed=seed)
         for variant in (SocialRule.csr(), SocialRule.lsr()):
             result, trace = eval(variant, None, p, want_trace=True)
             rounds = trace.rounds
@@ -196,22 +196,6 @@ def test_sequential_rules_reach_fixed_point():
                 assert all(p.entry(m, a) != 1 for m in result) or variant.variant == "never"
 
 
-def _sequential_reference(variant, t, p):
-    """csr/lsr rounds straight from the definition, over the columns phi(., a)."""
-    approvers = [{b for b in range(p.n) if p.entry(b, a) == 1} for a in range(p.n)]
-    if variant == "csr":
-        k = {a for a in t if t <= approvers[a]}
-    else:
-        k = {a for a in t if a in approvers[a]}
-    rounds = [frozenset(k)]
-    while True:
-        grown = k | {a for a in t if approvers[a] & k}
-        if grown == k:
-            return rounds
-        k = grown
-        rounds.append(frozenset(k))
-
-
 def _profile_from_bits(n, value):
     full = (1 << n) - 1
     rows = tuple((value >> (a * n)) & full for a in range(n))
@@ -221,7 +205,7 @@ def _profile_from_bits(n, value):
 
 def _assert_rows_match_reference(p, t):
     for rule in (SocialRule.csr(), SocialRule.lsr()):
-        want = _sequential_reference(rule.variant, set(range(p.n) if t is None else t), p)
+        want = reference_rounds(rule, range(p.n) if t is None else t, p.rows())
         result, trace = eval(rule, t, p, want_trace=True)
         assert trace.rounds == tuple(want), (rule.variant, p.row_pos, t)
         assert result == want[-1]
@@ -246,23 +230,6 @@ def test_sequential_rules_match_column_reference_random():
         _assert_rows_match_reference(p, t)
 
 
-def _quota_reference(rule, t, p):
-    """consent/ternary straight from the definition, over the columns phi(., a)."""
-    out = set()
-    for a in t:
-        column = [p.entry(b, a) for b in t]
-        own = p.entry(a, a)
-        if own == 1:
-            ok = column.count(1) >= rule.s
-        elif own == -1:
-            ok = column.count(-1) < rule.t
-        else:
-            ok = column.count(1) >= rule.effective_s_prime(p.n)
-        if ok:
-            out.add(a)
-    return frozenset(out)
-
-
 def test_quota_rules_match_column_reference_exhaustively():
     # every binary profile at n <= 3, every subset T, every valid (s, t),
     # each as consent and as ternary with the majority shorthand; then the
@@ -273,9 +240,10 @@ def test_quota_rules_match_column_reference_exhaustively():
         subsets = [frozenset(t) for size in range(n + 1) for t in itertools.combinations(range(n), size)]
         for value in range(2 ** (n * n)):
             p = _profile_from_bits(n, value)
+            grid = p.rows()
             for rule in rules:
                 for t in subsets:
-                    assert eval(rule, t, p) == _quota_reference(rule, t, p), (rule, p.row_pos, t)
+                    assert eval(rule, t, p) == reference_rounds(rule, t, grid)[-1], (rule, p.row_pos, t)
     # every ternary profile at n <= 2 (cells +1, -1 and star, so every
     # diagonal case), every T, every s, t and s', the majority shorthand too
     for n in range(3):
@@ -285,27 +253,27 @@ def test_quota_rules_match_column_reference_exhaustively():
         subsets = [frozenset(t) for size in range(n + 1) for t in itertools.combinations(range(n), size)]
         for cells in itertools.product((1, -1, 0), repeat=n * n):
             p = make_profile([cells[a * n:(a + 1) * n] for a in range(n)], kind="ternary")
+            grid = p.rows()
             for rule in rules:
                 for t in subsets:
-                    assert eval(rule, t, p) == _quota_reference(rule, t, p), (rule, cells, t)
+                    assert eval(rule, t, p) == reference_rounds(rule, t, grid)[-1], (rule, cells, t)
 
 
 def test_ternary_rule_matches_column_reference_random():
     rng = random.Random(2025)
     for _ in range(400):
         n = rng.randint(1, 8)
-        cells = [[rng.choice((1, 1, -1, -1, 0)) for _ in range(n)] for _ in range(n)]
-        p = make_profile(cells, kind="ternary")
+        p = generators.gen_random_profile(n, "ternary", 0.2, seed=rng.randrange(1 << 30))
         s_prime = rng.choice([None] + list(range(1, n + 2)))
         rule = SocialRule.ternary(rng.randint(1, n + 1), s_prime, rng.randint(1, n + 1))
         t = None if rng.random() < 0.25 else [a for a in range(n) if rng.random() < 0.7]
-        want = _quota_reference(rule, frozenset(range(n)) if t is None else frozenset(t), p)
-        assert eval(rule, t, p) == want, (rule, cells, t)
+        want = reference_rounds(rule, range(n) if t is None else t, p.rows())[-1]
+        assert eval(rule, t, p) == want, (rule, p.rows(), t)
 
 
 def test_lsr_contains_self_qualifiers():
     for seed in range(20):
-        p = random_binary(5, seed)
+        p = generators.gen_random_profile(5, seed=seed)
         result = eval(SocialRule.lsr(), None, p)
         for a in range(p.n):
             if p.entry(a, a) == 1:

@@ -8,9 +8,15 @@ import re
 
 import pytest
 
-from gidsolve import profiles, solvers
+from gidsolve import oracle, profiles, solvers
 from gidsolve.errors import InstanceTooLarge, PreconditionViolated
-from gidsolve.generators import gen_rx3c_no, rx3c_to_cgb
+from gidsolve.generators import (
+    gen_random_profile,
+    gen_random_r_profile,
+    gen_rx3c_no,
+    random_instance,
+    rx3c_to_cgb,
+)
 from gidsolve.instances import (
     AttackInstance,
     Solution,
@@ -28,6 +34,7 @@ from gidsolve.oracle import (
 )
 from gidsolve.solvers import (
     IMMUNITY_TABLE,
+    ORACLE_FOR_FAMILY,
     ORACLES,
     SOLVERS,
     _columnwise_flip_cost,
@@ -49,28 +56,6 @@ from helpers import ex1
 
 def consent(s, t):
     return profiles.SocialRule.consent(s, t)
-
-
-def random_binary(rng, n):
-    return profiles.make_profile(
-        [[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)]
-    )
-
-
-def random_ternary(rng, n):
-    return profiles.make_profile(
-        [[rng.choice((1, -1, 0)) for _ in range(n)] for _ in range(n)],
-        kind="ternary",
-    )
-
-
-def random_single_choice(rng, n):
-    rows = []
-    for _ in range(n):
-        row = [-1] * n
-        row[rng.randrange(n)] = 1
-        rows.append(row)
-    return profiles.make_profile(rows)
 
 
 def assert_matches_brute(instance, solver, brute):
@@ -374,7 +359,7 @@ def cgb_sweep_cases(count):
     cases = []
     while len(cases) < count:
         n = rng.randrange(3, 6)
-        p = random_binary(rng, n)
+        p = gen_random_profile(n, seed=rng.randrange(1 << 30))
         s = rng.randrange(1, n + 2)
         aplus = rng.sample(range(n), rng.randrange(1, n + 1))
         prices = None
@@ -448,7 +433,7 @@ def test_dgb_matches_oracle():
     rng = random.Random(421)
     for _ in range(120):
         n = rng.randrange(3, 6)
-        p = random_binary(rng, n)
+        p = gen_random_profile(n, seed=rng.randrange(1 << 30))
         t = rng.randrange(1, n + 2)
         aminus = rng.sample(range(n), rng.randrange(1, n + 1))
         prices = None
@@ -478,7 +463,7 @@ def test_gb_consent_duality_past_the_oracle():
     rng = random.Random(1207)
     for _ in range(40):
         n = rng.randint(10, 16)
-        p = random_binary(rng, n)
+        p = gen_random_profile(n, seed=rng.randrange(1 << 30))
         s = rng.randint(1, 4)
         targets = rng.sample(range(n), rng.randint(1, 3))
         budget = rng.randint(0, 3)
@@ -537,7 +522,7 @@ def test_gcdi22_matches_oracle():
     rng = random.Random(422)
     for _ in range(150):
         n = rng.randrange(4, 7)
-        p = random_binary(rng, n)
+        p = gen_random_profile(n, seed=rng.randrange(1 << 30))
         objective = rng.choice(("constructive", "destructive", "general"))
         members = rng.sample(range(n), rng.randrange(1, 4))
         split = rng.randrange(0, len(members) + 1)
@@ -583,7 +568,7 @@ def test_cgcai_r1_budget_short():
 
 
 def test_cgcai_r1_precondition_errors():
-    p = random_single_choice(random.Random(1), 4)
+    p = gen_random_r_profile(4, 1, seed=1)
     no_r = make_instance(p, consent(2, 1), "GCAI", "constructive",
                          aplus=(0,), pool=(0,), budget=1)
     with pytest.raises(PreconditionViolated):
@@ -598,7 +583,7 @@ def test_cgcai_r1_matches_oracle():
     rng = random.Random(423)
     for _ in range(150):
         n = rng.randrange(4, 7)
-        p = random_single_choice(rng, n)
+        p = gen_random_r_profile(n, 1, rng.randrange(1 << 30))
         pool = rng.sample(range(n), rng.randrange(1, n))
         aplus = rng.sample(pool, rng.randrange(1, len(pool) + 1))
         s = rng.randrange(2, n + 1)
@@ -652,14 +637,14 @@ def microbribery_sweep_cases(count):
         ternary = rng.random() < 0.4
         n = rng.randrange(3, 5 if not ternary else 4)
         if ternary:
-            p = random_ternary(rng, n)
+            p = gen_random_profile(n, "ternary", 1 / 3, rng.randrange(1 << 30))
             rule = profiles.SocialRule.ternary(
                 rng.randrange(1, n + 1),
                 rng.choice((None, rng.randrange(1, n + 1))),
                 rng.randrange(1, n + 1),
             )
         else:
-            p = random_binary(rng, n)
+            p = gen_random_profile(n, seed=rng.randrange(1 << 30))
             s = rng.randrange(1, n + 2)
             t = rng.randrange(1, n + 3 - s)
             rule = consent(s, t)
@@ -721,7 +706,7 @@ def test_microbribery_decomposes_per_column():
 def test_ilp_model_matches_witness_check_exactly():
     # every candidate addition set satisfies the grouped constraints if
     # and only if it passes the ground-truth witness check
-    p = random_binary(random.Random(7), 6)
+    p = gen_random_profile(6, seed=7)
     instance = make_instance(p, consent(3, 2), "GCAI", "general",
                              aplus=(0,), aminus=(1,), pool=(0, 1, 2), budget=2)
     model = build_ilp_model(instance)
@@ -791,7 +776,7 @@ def test_ilp_rows_match_case_table():
     cases = set()
     for _ in range(400):
         n = rng.randrange(2, 8)
-        p = random_binary(rng, n)
+        p = gen_random_profile(n, seed=rng.randrange(1 << 30))
         s = rng.randrange(1, n + 2)
         t = rng.randrange(1, n + 3 - s)
         family = rng.choice(("GCAI", "GCDI"))
@@ -843,7 +828,7 @@ def test_fpt_ilp_matches_oracle_gcai():
     rng = random.Random(425)
     for _ in range(150):
         n = rng.randrange(4, 7)
-        p = random_binary(rng, n)
+        p = gen_random_profile(n, seed=rng.randrange(1 << 30))
         s = rng.randrange(1, n + 2)
         t = rng.randrange(1, n + 3 - s)
         pool = rng.sample(range(n), rng.randrange(1, n))
@@ -871,7 +856,7 @@ def test_fpt_ilp_matches_oracle_gcdi():
     rng = random.Random(426)
     for _ in range(150):
         n = rng.randrange(4, 7)
-        p = random_binary(rng, n)
+        p = gen_random_profile(n, seed=rng.randrange(1 << 30))
         s = rng.randrange(1, n + 2)
         t = rng.randrange(1, n + 3 - s)
         objective = rng.choice(("constructive", "destructive", "general"))
@@ -1027,11 +1012,24 @@ def test_auto_propagates_instance_too_large():
         solve_auto(instance, search=SearchBudget(node_limit=0))
 
 
+def test_rejected_own_witness_is_an_internal_fault(monkeypatch):
+    # check_witness rejecting a solver's own witness is a bug, not a solver
+    # precondition: PreconditionViolated would make solve and xval exit 3
+    gmb = make_instance(ex1(), consent(2, 1), "GMB", "constructive", aplus=(4,), budget=1)
+    gcdi = make_instance(ex1(), consent(2, 3), "GCDI", "constructive", aplus=(4,), budget=2)
+    cases = ((solve_microbribery_consent, gmb), (solve_fpt_ilp, gcdi), (solve_control_brute, gcdi))
+    for solver, instance in cases:
+        assert solver(instance).answer == "YES"
+    monkeypatch.setattr(oracle, "check_witness", lambda instance, witness: False)
+    for solver, instance in cases:
+        with pytest.raises(RuntimeError, match="check_witness rejects"):
+            solver(instance)
+
+
 def test_auto_agrees_with_oracle_on_mixed_sweep():
     rng = random.Random(427)
     for _ in range(120):
         n = rng.randrange(3, 6)
-        p = random_binary(rng, n)
         family = rng.choice(("GCAI", "GCDI", "GCPI", "GB", "GMB"))
         variant = rng.choice(("consent", "csr", "lsr"))
         if variant == "consent":
@@ -1043,29 +1041,9 @@ def test_auto_agrees_with_oracle_on_mixed_sweep():
         else:
             rule = profiles.SocialRule.lsr()
         objective = rng.choice(("constructive", "destructive", "general"))
-        members = rng.sample(range(n), rng.randrange(1, n + 1))
-        split = rng.randrange(0, len(members) + 1)
-        aplus, aminus = members[:split], members[split:]
-        if objective == "constructive":
-            aplus, aminus = members, ()
-        elif objective == "destructive":
-            aplus, aminus = (), members
-        pool = None
-        if family == "GCAI":
-            pool = sorted(set(members) | set(rng.sample(range(n), rng.randrange(0, n + 1))))
-        budget = None if family == "GCPI" else rng.randrange(0, n + 1)
-        instance = make_instance(p, rule, family, objective,
-                                 aplus=aplus, aminus=aminus, pool=pool, budget=budget)
-        if family == "GCAI":
-            brute = solve_control_brute
-        elif family in ("GCDI", "GCPI"):
-            brute = solve_control_brute
-        elif family == "GB":
-            brute = solve_bribery_brute
-        else:
-            brute = solve_microbribery_brute
+        instance = random_instance(rng, family, objective, rule, n)
         got, _name = solve_auto(instance)
-        want = brute(instance)
+        want = ORACLES[ORACLE_FOR_FAMILY[family]](instance)
         if got.answer == "YES":
             assert check_witness(instance, got.witness)
             assert want.answer == "YES"
