@@ -16,7 +16,8 @@ check_witness and the oracles judge come from Profile._derive, which
 replaces only the changed rows.
 
 The rows are the only eager state.  Profile.__post_init__ computes the
-diagonal views in one pass; the column views col_pos/col_known are built by
+diagonal views in one pass (_derive hands them over, patched at the
+replaced rows); the column views col_pos/col_known are built by
 Profile._columns the first time a consent/ternary evaluation or a solver
 reads them, and kept.  A profile from _derive whose parent has its column
 views patches them at the replaced rows instead of transposing every row.
@@ -26,7 +27,8 @@ approves them, so each round is an OR of rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import InitVar, dataclass, field
 
 from .errors import (
     IndexOutOfRange,
@@ -83,7 +85,10 @@ class Profile:
     names: tuple[str, ...]
     row_pos: tuple[int, ...]
     row_known: tuple[int, ...]
-    # diagonal views, built eagerly by __post_init__ in one pass over the rows
+    # (diag_pos, diag_known) when the caller already has them, as _derive
+    # does; otherwise __post_init__ builds them in one pass over the rows
+    diagonal: InitVar[tuple[int, int] | None] = None
+    # diagonal views, set eagerly by __post_init__
     diag_pos: int = field(init=False, compare=False, repr=False)
     diag_known: int = field(init=False, compare=False, repr=False)
     # column views (col_pos, col_known), None until _columns first builds
@@ -94,14 +99,17 @@ class Profile:
     # views; None for a profile not made by _derive
     _origin: tuple[Profile, int] | None = field(init=False, compare=False, repr=False, default=None)
 
-    def __post_init__(self):
-        dpos = 0
-        dknown = 0
-        bit = 1
-        for rp, rk in zip(self.row_pos, self.row_known):
-            dpos |= rp & bit
-            dknown |= rk & bit
-            bit <<= 1
+    def __post_init__(self, diagonal):
+        if diagonal is not None:
+            dpos, dknown = diagonal
+        else:
+            dpos = 0
+            dknown = 0
+            bit = 1
+            for rp, rk in zip(self.row_pos, self.row_known):
+                dpos |= rp & bit
+                dknown |= rk & bit
+                bit <<= 1
         object.__setattr__(self, "diag_pos", dpos)
         object.__setattr__(self, "diag_known", dknown)
 
@@ -110,20 +118,27 @@ class Profile:
         replaced; the same profile when nothing changes.
 
         The one way a bribed or flipped profile is made.  It keeps n, kind and
-        names, and remembers this profile, so _columns can patch its column
-        views instead of transposing every row.
+        names, rewrites only the replaced rows' diagonal bits, and remembers
+        this profile, so _columns can patch its column views instead of
+        transposing every row.
         """
         if not changed:
             return self
         row_pos = list(self.row_pos)
         row_known = list(self.row_known)
         replaced = 0
+        dpos = self.diag_pos
+        dknown = self.diag_known
         for a, (pos, known) in changed.items():
             row_pos[a] = pos
             row_known[a] = known
-            replaced |= 1 << a
+            bit = 1 << a
+            replaced |= bit
+            dpos = (dpos & ~bit) | (pos & bit)
+            dknown = (dknown & ~bit) | (known & bit)
         derived = Profile(n=self.n, kind=self.kind, names=self.names,
-                          row_pos=tuple(row_pos), row_known=tuple(row_known))
+                          row_pos=tuple(row_pos), row_known=tuple(row_known),
+                          diagonal=(dpos, dknown))
         object.__setattr__(derived, "_origin", (self, replaced))
         return derived
 
@@ -469,6 +484,93 @@ def _sequential_rounds(variant: str, t_mask: int, profile: Profile) -> list[int]
             return rounds
         k |= joined
         rounds.append(k)
+
+
+@functools.cache
+def slice_basis(n: int) -> tuple[int, tuple[int, ...]]:
+    """(every position, X) for the bit-sliced evaluation of all subsets of N.
+
+    Subset u of N (read as a mask) sits at bit position u, so a family of
+    2^n populations is one int per individual.  X[a] is the family of the
+    subsets themselves: bit u of X[a] is set iff a is in u, a repeating
+    block of 2^a zeros and 2^a ones.
+    """
+    width = 1 << n
+    every = (1 << width) - 1
+    xs = []
+    for a in range(n):
+        block = 1 << a
+        # every // (2^(2*block) - 1) has one set bit per 2*block positions
+        xs.append(every // ((1 << 2 * block) - 1) * (((1 << block) - 1) << block))
+    return every, tuple(xs)
+
+
+def _sliced_at_least(populations, voters: int, quota: int, every: int) -> int:
+    """The positions where at least quota of the voters are in the population."""
+    if quota > voters.bit_count():
+        return 0
+    # reach[k]: the positions where at least k of the voters seen so far are in
+    reach = [every] + [0] * quota
+    seen = 0
+    for b in bits(voters):
+        pb = populations[b]
+        seen += 1
+        for k in range(min(quota, seen), 0, -1):
+            reach[k] |= reach[k - 1] & pb
+    return reach[quota]
+
+
+def eval_sliced(rule: SocialRule, populations, profile: Profile, every: int, columns=None) -> list[int]:
+    """eval_mask on a whole family of populations at once, bit-sliced.
+
+    populations[a] has bit u set iff a is in the u-th population, over the
+    positions in every; the result has the same layout, bit u of result[a]
+    set iff a is in the rule's result on the u-th population.  A
+    column-local rule computes only the given columns (all when None) and
+    leaves the rest 0; csr and lsr always compute every column.  Assumes
+    rule applicability was checked, as eval_mask does.
+    """
+    n = profile.n
+    out = [0] * n
+    if rule.column_local:
+        col_pos, col_known = profile._columns()
+        diag_pos = profile.diag_pos
+        diag_known = profile.diag_known
+        for a in range(n) if columns is None else columns:
+            bit = 1 << a
+            if diag_pos & bit:
+                out[a] = populations[a] & _sliced_at_least(populations, col_pos[a], rule.s, every)
+            elif diag_known & bit:
+                against = col_known[a] & ~col_pos[a]
+                out[a] = populations[a] & ~_sliced_at_least(populations, against, rule.t, every)
+            else:
+                quota = rule.effective_s_prime(n)
+                out[a] = populations[a] & _sliced_at_least(populations, col_pos[a], quota, every)
+        return out
+    row_pos = profile.row_pos
+    full = full_mask(n)
+    if rule.variant == "csr":
+        # a starts where it is in T and no member of T withholds approval
+        out = list(populations)
+        for b in range(n):
+            absent = ~populations[b]
+            for a in bits(full & ~row_pos[b]):
+                out[a] &= absent
+    else:
+        for a in bits(profile.diag_pos):
+            out[a] = populations[a]
+    # the least fixed point of K[a] = K0[a] | (T[a] & K[b]) for each b
+    # approving a, which the synchronous rounds reach position by position
+    work = [a for a in range(n) if out[a]]
+    while work:
+        b = work.pop()
+        kb = out[b]
+        for a in bits(row_pos[b]):
+            grown = out[a] | (kb & populations[a])
+            if grown != out[a]:
+                out[a] = grown
+                work.append(a)
+    return out
 
 
 def eval(rule: SocialRule, subset, profile: Profile, want_trace: bool = False):

@@ -487,6 +487,59 @@ def _fpt_ilp(instance: AttackInstance, search: SearchBudget) -> Verdict:
     return _verified_yes(instance, witness)
 
 
+SLICED_N_CAP = 16  # individuals gcpi_sliced takes: 2^16 positions an int
+_BYTE_MIRROR = bytes(int(format(i, "08b")[::-1], 2) for i in range(256))
+
+
+def _mirrored(sliced: int, n: int) -> int:
+    """The 2^n positions of a sliced mask in reverse order, u to 2^n - 1 - u."""
+    width = 1 << n
+    size = (width + 7) // 8
+    mirrored = sliced.to_bytes(size, "little").translate(_BYTE_MIRROR)
+    return int.from_bytes(mirrored, "big") >> (8 * size - width)
+
+
+def _gcpi_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
+    """Partition control by judging every partition at once, bit-sliced.
+
+    Each subset U of N is one bit position (profiles.slice_basis), so the
+    rounds of every partition take two sliced evaluations: f(U) on X, whose
+    mirror image is f(N - U), and the final round on their union, where a
+    column-local rule needs only the target columns.  The positions whose
+    final result meets the objective and that hold the pinned individual 0
+    are the accepted candidates of control_brute; the first of them in its
+    order is the witness, and the node limit is charged as there.
+    """
+    p = instance.profile
+    n = p.n
+    rule = instance.rule
+    every, xs = profiles.slice_basis(n)
+    plus, minus = instance._target_masks
+    left = profiles.eval_sliced(rule, xs, p, every)
+    # N - U sits at the mirrored position 2^n - 1 - u, so f(N - U) on every
+    # subset is f(U) with the positions reversed
+    union = [lw | _mirrored(lw, n) for lw in left]
+    final = profiles.eval_sliced(rule, union, p, every, profiles.bits(plus | minus))
+    accepted = xs[0] if n else every
+    for a in profiles.bits(plus):
+        accepted &= final[a]
+    for a in profiles.bits(minus):
+        accepted &= ~final[a]
+    limit = search.node_limit
+    if not accepted:
+        if limit is not None and (1 << max(n - 1, 0)) > limit:
+            raise InstanceTooLarge("candidate count exceeded node limit %d" % limit)
+        return NO_VERDICT
+    pinned = 1 if n else 0
+    for count, body in enumerate(_subsets(range(1, n), max(n - 1, 0)), 1):
+        u = pinned | profiles.mask_of(body)
+        if accepted >> u & 1:
+            if limit is not None and count > limit:
+                raise InstanceTooLarge("candidate count exceeded node limit %d" % limit)
+            return _verified_yes(instance, Solution.partition(profiles.bits(u)))
+    raise RuntimeError("an accepted partition is missing from the candidate order")
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     """A specialized algorithm and the domain its theorem covers.
@@ -554,9 +607,14 @@ SOLVERS = (
         _NO_EXACT_DELETION,
         (lambda i: i.rule.variant == "consent", "this algorithm needs a consent rule"),
     ), _fpt_ilp),
+    SolverSpec("gcpi_sliced", (
+        (lambda i: i.family == "GCPI", "this algorithm handles GCPI only"),
+        (lambda i: i.profile.n <= SLICED_N_CAP,
+         "this algorithm handles at most %d individuals" % SLICED_N_CAP),
+    ), _gcpi_sliced),
 )
 (solve_cgb_xp, solve_dgb_xp, solve_gcdi_22, solve_cgcai_r1,
- solve_microbribery_consent, solve_fpt_ilp) = SOLVERS
+ solve_microbribery_consent, solve_fpt_ilp, solve_gcpi_sliced) = SOLVERS
 
 # The oracles skip preflight, also when called by name.
 ORACLES = {

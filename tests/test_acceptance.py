@@ -49,6 +49,7 @@ from gidsolve.solvers import (
     solve_dgb_xp,
     solve_fpt_ilp,
     solve_gcdi_22,
+    solve_gcpi_sliced,
     solve_microbribery_consent,
 )
 
@@ -474,6 +475,19 @@ def _i_fpt(rng):
                          budget=rng.randint(0, 3))
 
 
+def _i_gcpi(rng):
+    n = rng.randint(3, 7)
+    family = rng.choice(("consent", "csr", "lsr", "ternary"))
+    if family == "ternary":
+        p = gen_random_profile(n, "ternary", 0.3, rng.randrange(1 << 30))
+    else:
+        p = _draw_profile(rng, n)
+    rule = _draw_query_rule(rng, family, n)
+    objective = rng.choice(("constructive", "destructive", "general", "exact"))
+    aplus, aminus = _draw_targets(rng, n, objective)
+    return make_instance(p, rule, "GCPI", objective, aplus=aplus, aminus=aminus)
+
+
 _ORACLE_SWEEPS = (
     ("cgb_xp", _i_cgb, solve_cgb_xp, solve_bribery_brute, 41),
     ("dgb_xp", _i_dgb, solve_dgb_xp, solve_bribery_brute, 42),
@@ -484,6 +498,7 @@ _ORACLE_SWEEPS = (
     ("microbribery/ternary", _i_gmb_ternary, solve_microbribery_consent,
      solve_microbribery_brute, 46),
     ("fpt_ilp", _i_fpt, solve_fpt_ilp, solve_control_brute, 47),
+    ("gcpi_sliced", _i_gcpi, solve_gcpi_sliced, solve_control_brute, 48),
 )
 
 

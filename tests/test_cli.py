@@ -2,9 +2,11 @@
 
 import json
 import random
+import re
 
 import pytest
 
+from gidsolve import solvers
 from gidsolve.cli import (
     build_parser,
     digest_instance,
@@ -479,6 +481,23 @@ def test_xval_more_families(capsys):
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert dict(report_pairs(out))["agreement"] == "true"
+
+
+def test_xval_runs_the_oracle_once(capsys, monkeypatch):
+    # when solve_auto answered through the family's oracle, xval reuses that
+    # verdict and its time instead of searching again
+    calls = []
+    oracle = solvers.ORACLES["microbribery_brute"]
+    monkeypatch.setitem(solvers.ORACLES, "microbribery_brute",
+                        lambda instance, search: calls.append(instance) or oracle(instance, search))
+    code, out, _ = run(capsys, ["xval", "--family", "GMB", "--objective", "general", "--rule", "csr",
+                                "--n", "3", "--count", "12", "--seed", "5"])
+    pairs = dict(report_pairs(out))
+    assert code == 0 and pairs["agreement"] == "true"
+    agree, auto_ms, brute_ms = re.fullmatch(r"agree (\d+)/\1 auto_ms (\S+) brute_ms (\S+)",
+                                            pairs["xval:microbribery_brute"]).groups()
+    assert len(calls) == int(agree) > 0
+    assert auto_ms == brute_ms
 
 
 def test_xval_small_n_exits_cleanly(capsys):

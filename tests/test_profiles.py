@@ -13,15 +13,17 @@ from gidsolve.errors import (
 )
 from gidsolve.instances import format_instance, parse_instance
 from gidsolve.profiles import (
+    Profile,
     SocialRule,
     eval,
+    eval_mask,
     format_profile,
     make_profile,
     negate,
     parse_profile,
 )
 
-from helpers import EX1_TEXT, ex1, names, reference_rounds
+from helpers import EX1_TEXT, ex1, names, reference_rounds, valid_rules
 
 
 def test_example_consent_sets():
@@ -389,6 +391,83 @@ def test_parse_format_roundtrip_keeps_every_view():
         assert format_profile(q) == text
         checked += 1
     assert checked == 68
+
+
+def test_derive_patches_diagonal_masks():
+    # a chain of derived profiles keeps the diagonal masks a profile built
+    # from scratch on the same rows computes
+    rng = random.Random(18)
+    checked = 0
+    for p in _seeded_profiles():
+        full = profiles.full_mask(p.n)
+        derived = p
+        for _ in range(3 if p.n else 0):
+            changed = {}
+            for a in rng.sample(range(p.n), rng.randint(1, p.n)):
+                known = full if p.kind == "binary" else rng.randrange(full + 1)
+                changed[a] = (rng.randrange(full + 1) & known, known)
+            derived = derived._derive(changed)
+            fresh = Profile(n=p.n, kind=p.kind, names=p.names,
+                            row_pos=derived.row_pos, row_known=derived.row_known)
+            assert (derived.diag_pos, derived.diag_known) == (fresh.diag_pos, fresh.diag_known)
+            checked += 1
+    assert checked == 183
+
+
+def _members(sliced, u):
+    """The mask of individuals whose sliced mask has position u set."""
+    return sum(1 << a for a, positions in enumerate(sliced) if positions >> u & 1)
+
+
+def _assert_sliced_matches(rule, p, families):
+    every, _xs = profiles.slice_basis(p.n)
+    for populations in families:
+        sliced = profiles.eval_sliced(rule, populations, p, every)
+        for u in range(1 << p.n):
+            assert _members(sliced, u) == eval_mask(rule, _members(populations, u), p), (rule, p, u)
+
+
+def test_slice_basis_puts_each_subset_at_its_position():
+    for n in range(6):
+        every, xs = profiles.slice_basis(n)
+        assert every == (1 << (1 << n)) - 1
+        assert [_members(xs, u) for u in range(1 << n)] == list(range(1 << n))
+
+
+def test_eval_sliced_matches_eval_mask_exhaustively():
+    # every binary profile up to n = 3 under every valid rule, and every
+    # ternary profile up to n = 2 (star diagonals, s' given and *), on all
+    # subsets at once
+    checked = 0
+    for kind, values, top in (("binary", (1, -1), 3), ("ternary", (1, -1, 0), 2)):
+        for n in range(top + 1):
+            xs = profiles.slice_basis(n)[1]
+            for cells in itertools.product(values, repeat=n * n):
+                p = make_profile([cells[a * n:(a + 1) * n] for a in range(n)], kind=kind)
+                for rule in valid_rules(n, kind):
+                    _assert_sliced_matches(rule, p, [xs])
+                    checked += 1
+    assert checked == 7836
+
+
+def test_eval_sliced_matches_eval_mask_on_seeded_profiles():
+    # n = 4 to 6, on the subsets and on arbitrary population families; a
+    # column-local rule computes only the columns asked for
+    rng = random.Random(1806)
+    for n in (4, 5, 6):
+        every, xs = profiles.slice_basis(n)
+        for kind in ("binary", "ternary"):
+            for _ in range(4):
+                p = generators.gen_random_profile(n, kind, 0.3 if kind == "ternary" else 0.0,
+                                                  seed=rng.randrange(1 << 30))
+                for rule in valid_rules(n, kind):
+                    mixed = [rng.randrange(every + 1) for _ in range(n)]
+                    _assert_sliced_matches(rule, p, [xs, mixed])
+                    if rule.column_local:
+                        columns = rng.sample(range(n), 2)
+                        whole = profiles.eval_sliced(rule, mixed, p, every)
+                        part = profiles.eval_sliced(rule, mixed, p, every, columns)
+                        assert part == [whole[a] if a in columns else 0 for a in range(n)]
 
 
 def test_parse_skips_make_profile(monkeypatch):

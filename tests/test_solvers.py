@@ -38,6 +38,7 @@ from gidsolve.solvers import (
     ORACLES,
     SOLVERS,
     _columnwise_flip_cost,
+    auto_solver,
     build_ilp_model,
     check_immunity,
     preflight,
@@ -47,6 +48,7 @@ from gidsolve.solvers import (
     solve_dgb_xp,
     solve_fpt_ilp,
     solve_gcdi_22,
+    solve_gcpi_sliced,
     solve_ilp_model,
     solve_microbribery_consent,
 )
@@ -923,11 +925,54 @@ def test_auto_dispatch_names():
         (make_instance(p, profiles.SocialRule.csr(), "GB", "constructive",
                        aplus=(0,), budget=2), "bribery_brute"),
         (make_instance(p, consent(2, 2), "GCPI", "destructive",
-                       aminus=(2,)), "control_brute"),
+                       aminus=(2,)), "gcpi_sliced"),
     ]
     for instance, want in expectations:
         _got, name = solve_auto(instance)
         assert name == want, want
+    # past the sliced solver's cap partition control goes to the oracle
+    big = make_instance(gen_random_profile(17, seed=3), consent(2, 2), "GCPI", "destructive",
+                        aminus=(0,))
+    assert auto_solver(big)[0] == "control_brute"
+    with pytest.raises(PreconditionViolated, match="at most 16 individuals"):
+        solve_gcpi_sliced(big)
+
+
+def _outcome(solve, instance, search):
+    try:
+        verdict = solve(instance, search)
+    except InstanceTooLarge as e:
+        return "refused", str(e)
+    return verdict.answer, verdict.witness
+
+
+def test_gcpi_sliced_matches_control_brute():
+    # same answer, same first witness, same refusal under every node limit,
+    # on the instances solve_auto hands it (those preflight leaves open)
+    rng = random.Random(1813)
+    rules = [profiles.SocialRule.csr(), profiles.SocialRule.lsr(),
+             profiles.SocialRule.ternary(2, None, 2), profiles.SocialRule.ternary(1, 3, 3)]
+    rules += [consent(s, t) for s, t in ((1, 1), (2, 2), (3, 2), (2, 4))]
+    searched = yes = 0
+    for n in range(1, 9):
+        for rule in rules:
+            if rule.variant == "consent" and rule.s + rule.t > n + 2:
+                continue
+            for objective in ("constructive", "destructive", "general", "exact"):
+                if objective == "general" and n < 2:
+                    continue
+                for _ in range(3):
+                    instance = random_instance(rng, "GCPI", objective, rule, n)
+                    if preflight(instance) is not None:
+                        continue
+                    assert auto_solver(instance)[0] == "gcpi_sliced"
+                    searched += 1
+                    for limit in (None, 0, 1, 3, 5, 40):
+                        search = SearchBudget(node_limit=limit)
+                        got = _outcome(solve_gcpi_sliced.run, instance, search)
+                        assert got == _outcome(solve_control_brute, instance, search), (instance, limit)
+                        yes += limit is None and got[0] == "YES"
+    assert searched > 300 and 0 < yes < searched, (searched, yes)
 
 
 def test_auto_dispatch_r1_specialization():
