@@ -520,12 +520,12 @@ def _sliced_at_least(populations, voters: int, quota: int, every: int) -> int:
     return reach[quota]
 
 
-def eval_sliced(rule: SocialRule, populations, profile: Profile, every: int, columns=None) -> list[int]:
-    """eval_mask on a whole family of populations at once, bit-sliced.
+def eval_sliced(rule: SocialRule, populations, profile: Profile, columns=None) -> list[int]:
+    """eval_mask on 2^n populations at once, bit-sliced.
 
     populations[a] has bit u set iff a is in the u-th population, over the
-    positions in every; the result has the same layout, bit u of result[a]
-    set iff a is in the rule's result on the u-th population.  A
+    positions of slice_basis(n); the result has the same layout, bit u of
+    result[a] set iff a is in the rule's result on the u-th population.  A
     column-local rule computes only the given columns (all when None) and
     leaves the rest 0; csr and lsr always compute every column.  Assumes
     rule applicability was checked, as eval_mask does.
@@ -533,6 +533,7 @@ def eval_sliced(rule: SocialRule, populations, profile: Profile, every: int, col
     n = profile.n
     out = [0] * n
     if rule.column_local:
+        every = slice_basis(n)[0]
         col_pos, col_known = profile._columns()
         diag_pos = profile.diag_pos
         diag_known = profile.diag_known

@@ -487,7 +487,7 @@ def _fpt_ilp(instance: AttackInstance, search: SearchBudget) -> Verdict:
     return _verified_yes(instance, witness)
 
 
-SLICED_N_CAP = 16  # individuals gcpi_sliced takes: 2^16 positions an int
+SLICED_N_CAP = 16  # most individuals gcpi_sliced takes: a sliced mask holds 2^n positions
 _BYTE_MIRROR = bytes(int(format(i, "08b")[::-1], 2) for i in range(256))
 
 
@@ -515,29 +515,28 @@ def _gcpi_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
     rule = instance.rule
     every, xs = profiles.slice_basis(n)
     plus, minus = instance._target_masks
-    left = profiles.eval_sliced(rule, xs, p, every)
+    left = profiles.eval_sliced(rule, xs, p)
     # N - U sits at the mirrored position 2^n - 1 - u, so f(N - U) on every
     # subset is f(U) with the positions reversed
     union = [lw | _mirrored(lw, n) for lw in left]
-    final = profiles.eval_sliced(rule, union, p, every, profiles.bits(plus | minus))
+    final = profiles.eval_sliced(rule, union, p, profiles.bits(plus | minus))
     accepted = xs[0] if n else every
     for a in profiles.bits(plus):
         accepted &= final[a]
     for a in profiles.bits(minus):
         accepted &= ~final[a]
-    limit = search.node_limit
-    if not accepted:
-        if limit is not None and (1 << max(n - 1, 0)) > limit:
-            raise InstanceTooLarge("candidate count exceeded node limit %d" % limit)
+    # control_brute judges 2^(n-1) candidates on NO, and stops at the first
+    # accepted one in its order
+    examined, witness = 1 << max(n - 1, 0), None
+    if accepted:
+        pinned = 1 if n else 0
+        candidates = (pinned | profiles.mask_of(body) for body in _subsets(range(1, n), max(n - 1, 0)))
+        examined, witness = next((count, u) for count, u in enumerate(candidates, 1) if accepted >> u & 1)
+    if search.node_limit is not None and examined > search.node_limit:
+        raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
+    if witness is None:
         return NO_VERDICT
-    pinned = 1 if n else 0
-    for count, body in enumerate(_subsets(range(1, n), max(n - 1, 0)), 1):
-        u = pinned | profiles.mask_of(body)
-        if accepted >> u & 1:
-            if limit is not None and count > limit:
-                raise InstanceTooLarge("candidate count exceeded node limit %d" % limit)
-            return _verified_yes(instance, Solution.partition(profiles.bits(u)))
-    raise RuntimeError("an accepted partition is missing from the candidate order")
+    return _verified_yes(instance, Solution.partition(profiles.bits(witness)))
 
 
 @dataclass(frozen=True)

@@ -420,9 +420,8 @@ def _members(sliced, u):
 
 
 def _assert_sliced_matches(rule, p, families):
-    every, _xs = profiles.slice_basis(p.n)
     for populations in families:
-        sliced = profiles.eval_sliced(rule, populations, p, every)
+        sliced = profiles.eval_sliced(rule, populations, p)
         for u in range(1 << p.n):
             assert _members(sliced, u) == eval_mask(rule, _members(populations, u), p), (rule, p, u)
 
@@ -465,8 +464,8 @@ def test_eval_sliced_matches_eval_mask_on_seeded_profiles():
                     _assert_sliced_matches(rule, p, [xs, mixed])
                     if rule.column_local:
                         columns = rng.sample(range(n), 2)
-                        whole = profiles.eval_sliced(rule, mixed, p, every)
-                        part = profiles.eval_sliced(rule, mixed, p, every, columns)
+                        whole = profiles.eval_sliced(rule, mixed, p)
+                        part = profiles.eval_sliced(rule, mixed, p, columns)
                         assert part == [whole[a] if a in columns else 0 for a in range(n)]
 
 
