@@ -531,7 +531,10 @@ def _gcpi_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
     if accepted:
         pinned = 1 if n else 0
         candidates = (pinned | profiles.mask_of(body) for body in _subsets(range(1, n), max(n - 1, 0)))
-        examined, witness = next((count, u) for count, u in enumerate(candidates, 1) if accepted >> u & 1)
+        # bytes, so testing a position does not shift the whole mask
+        held = accepted.to_bytes(((1 << n) + 7) // 8, "little")
+        examined, witness = next((count, u) for count, u in enumerate(candidates, 1)
+                                 if held[u >> 3] >> (u & 7) & 1)
     if search.node_limit is not None and examined > search.node_limit:
         raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
     if witness is None:

@@ -973,6 +973,12 @@ def test_gcpi_sliced_matches_control_brute():
                         assert got == _outcome(solve_control_brute, instance, search), (instance, limit)
                         yes += limit is None and got[0] == "YES"
     assert searched > 300 and 0 < yes < searched, (searched, yes)
+    # wider slices: 2^12 positions mirror across many bytes
+    for rule in rules[:3] + [consent(2, 2)]:
+        instance = random_instance(rng, "GCPI", "general", rule, 12)
+        if preflight(instance) is None:
+            assert _outcome(solve_gcpi_sliced.run, instance, oracle.DEFAULT_SEARCH) == _outcome(
+                solve_control_brute, instance, oracle.DEFAULT_SEARCH)
 
 
 def test_auto_dispatch_r1_specialization():
