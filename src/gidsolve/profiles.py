@@ -23,6 +23,10 @@ reads them, and kept.  A profile from _derive whose parent has its column
 views patches them at the replaced rows instead of transposing every row.
 csr and lsr read rows only: a member joins once an already qualified member
 approves them, so each round is an OR of rows.
+
+eval_sliced evaluates a rule on all 2^n subsets at once: one int per
+individual, with bit u standing for the subset whose mask is u
+(slice_basis), so each step of eval_mask becomes one operation on ints.
 """
 
 from __future__ import annotations

@@ -974,11 +974,14 @@ def test_gcpi_sliced_matches_control_brute():
                         yes += limit is None and got[0] == "YES"
     assert searched > 300 and 0 < yes < searched, (searched, yes)
     # wider slices: 2^12 positions mirror across many bytes
+    wide = 0
     for rule in rules[:3] + [consent(2, 2)]:
         instance = random_instance(rng, "GCPI", "general", rule, 12)
         if preflight(instance) is None:
             assert _outcome(solve_gcpi_sliced.run, instance, oracle.DEFAULT_SEARCH) == _outcome(
                 solve_control_brute, instance, oracle.DEFAULT_SEARCH)
+            wide += 1
+    assert wide == 4
 
 
 def test_auto_dispatch_r1_specialization():
