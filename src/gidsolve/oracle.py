@@ -57,6 +57,14 @@ def _subsets(domain, cap: int):
     return itertools.chain.from_iterable(itertools.combinations(domain, size) for size in range(cap + 1))
 
 
+def _partition_candidates(n: int):
+    """The left parts U of the partitions of n individuals, as masks, in the
+    order GCPI searches judge them; the question is symmetric in U vs N-U, so
+    individual 0 is pinned in U (n = 0 has the one empty partition)."""
+    pinned = 1 if n else 0
+    return (pinned | mask_of(body) for body in _subsets(range(1, n), max(n - 1, 0)))
+
+
 def _first_witness(instance: AttackInstance, candidates, search: SearchBudget) -> Verdict:
     """The one enumerate-and-judge loop.
 
@@ -121,11 +129,7 @@ def solve_control_brute(instance: AttackInstance, search: SearchBudget = DEFAULT
         raise PreconditionViolated("control oracle handles GCAI/GCDI/GCPI, got %s" % family)
     n = instance.profile.n
     if family == "GCPI":
-        # the partition question is symmetric in U vs N-U, so pin individual 0
-        # (n = 0 has the one empty partition)
-        pinned = 1 if n else 0
-        candidates = (pinned | mask_of(body) for body in _subsets(range(1, n), max(n - 1, 0)))
-        return _first_witness(instance, candidates, search)
+        return _first_witness(instance, _partition_candidates(n), search)
     if instance.budget is None:
         raise PreconditionViolated("%s instance needs a budget" % family)
     if family == "GCAI" and instance.pool is None:

@@ -16,11 +16,11 @@ check_witness and the oracles judge come from Profile._derive, which
 replaces only the changed rows.
 
 The rows are the only eager state.  Profile.__post_init__ computes the
-diagonal views in one pass (_derive hands them over, patched at the
-replaced rows); the column views col_pos/col_known are built by
-Profile._columns the first time a consent/ternary evaluation or a solver
-reads them, and kept.  A profile from _derive whose parent has its column
-views patches them at the replaced rows instead of transposing every row.
+diagonal views in one pass; the column views col_pos/col_known are built
+by Profile._columns the first time a consent/ternary evaluation or a
+solver reads them, and kept.  Profile._derive alone makes a derived
+profile's views: it copies the parent's, patched at the replaced rows,
+the column views only when the parent has built them.
 csr and lsr read rows only: a member joins once an already qualified member
 approves them, so each round is an OR of rows.
 
@@ -32,7 +32,7 @@ individual, with bit u standing for the subset whose mask is u
 from __future__ import annotations
 
 import functools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from .errors import (
     IndexOutOfRange,
@@ -89,31 +89,22 @@ class Profile:
     names: tuple[str, ...]
     row_pos: tuple[int, ...]
     row_known: tuple[int, ...]
-    # (diag_pos, diag_known) when the caller already has them, as _derive
-    # does; otherwise __post_init__ builds them in one pass over the rows
-    diagonal: InitVar[tuple[int, int] | None] = None
-    # diagonal views, set eagerly by __post_init__
+    # diagonal views, built by __post_init__ or handed over by _derive
     diag_pos: int = field(init=False, compare=False, repr=False)
     diag_known: int = field(init=False, compare=False, repr=False)
     # column views (col_pos, col_known), None until _columns first builds
-    # them; csr/lsr never read them
+    # them or _derive hands them over; csr/lsr never read them
     _col_views: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
         init=False, compare=False, repr=False, default=None)
-    # (parent, mask of the rows _derive replaced) until _columns has built the
-    # views; None for a profile not made by _derive
-    _origin: tuple[Profile, int] | None = field(init=False, compare=False, repr=False, default=None)
 
-    def __post_init__(self, diagonal):
-        if diagonal is not None:
-            dpos, dknown = diagonal
-        else:
-            dpos = 0
-            dknown = 0
-            bit = 1
-            for rp, rk in zip(self.row_pos, self.row_known):
-                dpos |= rp & bit
-                dknown |= rk & bit
-                bit <<= 1
+    def __post_init__(self):
+        dpos = 0
+        dknown = 0
+        bit = 1
+        for rp, rk in zip(self.row_pos, self.row_known):
+            dpos |= rp & bit
+            dknown |= rk & bit
+            bit <<= 1
         object.__setattr__(self, "diag_pos", dpos)
         object.__setattr__(self, "diag_known", dknown)
 
@@ -121,74 +112,72 @@ class Profile:
         """This profile with the rows in changed (row -> (pos, known) masks)
         replaced; the same profile when nothing changes.
 
-        The one way a bribed or flipped profile is made.  It keeps n, kind and
-        names, rewrites only the replaced rows' diagonal bits, and remembers
-        this profile, so _columns can patch its column views instead of
-        transposing every row.
+        The one way a bribed or flipped profile is made, and the one place
+        its views come from.  It copies this profile's state without running
+        __post_init__ again, rewrites the replaced rows and patches the
+        diagonal masks at them; when this profile has its column views, the
+        copy gets them too, with bit a toggled in every column where row a's
+        cell changed.  The copy holds no link to this profile.
         """
         if not changed:
             return self
         row_pos = list(self.row_pos)
         row_known = list(self.row_known)
-        replaced = 0
         dpos = self.diag_pos
         dknown = self.diag_known
+        views = self._col_views
+        if views is not None:
+            cpos = list(views[0])
+            cknown = list(views[1])
         for a, (pos, known) in changed.items():
-            row_pos[a] = pos
-            row_known[a] = known
             bit = 1 << a
-            replaced |= bit
             dpos = (dpos & ~bit) | (pos & bit)
             dknown = (dknown & ~bit) | (known & bit)
-        derived = Profile(n=self.n, kind=self.kind, names=self.names,
-                          row_pos=tuple(row_pos), row_known=tuple(row_known),
-                          diagonal=(dpos, dknown))
-        object.__setattr__(derived, "_origin", (self, replaced))
+            if views is not None:
+                for b in bits(pos ^ row_pos[a]):
+                    cpos[b] ^= bit
+                for b in bits(known ^ row_known[a]):
+                    cknown[b] ^= bit
+            row_pos[a] = pos
+            row_known[a] = known
+        if views is not None:
+            views = (tuple(cpos), tuple(cknown))
+        derived = object.__new__(Profile)
+        vars(derived).update(vars(self), row_pos=tuple(row_pos), row_known=tuple(row_known),
+                             diag_pos=dpos, diag_known=dknown, _col_views=views)
         return derived
 
     def _columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Return (col_pos, col_known), building them on the first call.
 
-        The only place column views are made.  A profile from _derive whose
-        parent has its views starts from them with the replaced rows' bits
-        cleared and writes only those rows in; any other profile transposes
-        every row.  The views are a pure function of the rows, so two racing
-        first calls only build the same tuples twice.
+        The only place column views are built from the rows, by transposing
+        every row; _derive only patches views a parent already has.  The
+        views are a pure function of the rows, so two racing first calls
+        only build the same tuples twice.
         """
         views = self._col_views
         if views is None:
             n = self.n
             full = full_mask(n)
-            origin = self._origin
-            if origin is not None and origin[0]._col_views is not None:
-                (parent_pos, parent_known), rows = origin[0]._col_views, origin[1]
-                keep = ~rows
-                cpos = [c & keep for c in parent_pos]
-                cknown = [c | rows for c in parent_known]
-            else:
-                rows = full
-                cpos = [0] * n
-                cknown = [full] * n
+            cpos = [0] * n
+            cknown = [full] * n
             bit = 1
             # bits() inlined: this transpose dominates a consent evaluation of
             # a fresh profile
             for rp, rk in zip(self.row_pos, self.row_known):
-                if rows & bit:
-                    while rp:
-                        low = rp & -rp
-                        cpos[low.bit_length() - 1] |= bit
-                        rp ^= low
-                    # binary profiles have no unknown cells, so this loop is empty
-                    missing = full & ~rk
-                    while missing:
-                        low = missing & -missing
-                        cknown[low.bit_length() - 1] &= ~bit
-                        missing ^= low
+                while rp:
+                    low = rp & -rp
+                    cpos[low.bit_length() - 1] |= bit
+                    rp ^= low
+                # binary profiles have no unknown cells, so this loop is empty
+                missing = full & ~rk
+                while missing:
+                    low = missing & -missing
+                    cknown[low.bit_length() - 1] &= ~bit
+                    missing ^= low
                 bit <<= 1
             views = (tuple(cpos), tuple(cknown))
             object.__setattr__(self, "_col_views", views)
-            if origin is not None:
-                object.__setattr__(self, "_origin", None)
         return views
 
     @property

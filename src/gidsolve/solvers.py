@@ -36,6 +36,7 @@ from .oracle import (
     DEFAULT_SEARCH,
     SearchBudget,
     _first_witness,
+    _partition_candidates,
     _subsets,
     _verified_yes,
     solve_bribery_brute,
@@ -529,11 +530,9 @@ def _gcpi_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
     # accepted one in its order
     examined, witness = 1 << max(n - 1, 0), None
     if accepted:
-        pinned = 1 if n else 0
-        candidates = (pinned | profiles.mask_of(body) for body in _subsets(range(1, n), max(n - 1, 0)))
         # bytes, so testing a position does not shift the whole mask
         held = accepted.to_bytes(((1 << n) + 7) // 8, "little")
-        examined, witness = next((count, u) for count, u in enumerate(candidates, 1)
+        examined, witness = next((count, u) for count, u in enumerate(_partition_candidates(n), 1)
                                  if held[u >> 3] >> (u & 7) & 1)
     if search.node_limit is not None and examined > search.node_limit:
         raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)

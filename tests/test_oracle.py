@@ -323,6 +323,24 @@ def test_family_preconditions():
         solve_bribery_brute(control)
     with pytest.raises(PreconditionViolated):
         solve_microbribery_brute(control)
+    # the oracles called by name refuse an instance missing its budget or pool
+    rule = SocialRule.consent(1, 1)
+    cases = [
+        (solve_control_brute, make_instance(p, rule, "GCDI", "constructive", aplus=(0,)),
+         "GCDI instance needs a budget"),
+        (solve_control_brute, make_instance(p, rule, "GCAI", "constructive", aplus=(0,), pool=(1,)),
+         "GCAI instance needs a budget"),
+        (solve_control_brute, make_instance(p, rule, "GCAI", "constructive", aplus=(0,), budget=1),
+         "GCAI instance needs a pool"),
+        (solve_bribery_brute, make_instance(p, rule, "GB", "constructive", aplus=(0,)),
+         "GB instance needs a budget"),
+        (solve_microbribery_brute, make_instance(p, rule, "GMB", "constructive", aplus=(0,)),
+         "GMB instance needs a budget"),
+    ]
+    for solve, instance, message in cases:
+        with pytest.raises(PreconditionViolated) as err:
+            solve(instance)
+        assert str(err.value) == message, message
 
 
 def test_pqi_nqi_no_unknowns_is_direct_eval():
@@ -699,26 +717,32 @@ def test_search_builds_and_checks_only_the_witness(monkeypatch):
 
 
 def test_consent_bribery_patches_derived_column_views(monkeypatch):
-    # the instance's profile transposes once; every bribed profile starts
-    # from its views and writes only the bribed rows in
+    # the instance's profile transposes once; every bribed profile arrives
+    # from _derive with the column views a from-scratch profile builds
     inst = make_instance(gen_random_profile(5, seed=81), SocialRule.consent(2, 2), "GB", "general",
                          aplus=(0,), aminus=(1,), budget=1)
-    builds = []
-    original = profiles.Profile._columns
+    built = []
+    derived = []
+    original_columns = profiles.Profile._columns
+    original_derive = profiles.Profile._derive
 
     def counting(self):
         if self._col_views is None:
-            origin = self._origin
-            patched = origin is not None and origin[0]._col_views is not None
-            builds.append((self is inst.profile, patched))
-            views = original(self)
-            copy = Profile(n=self.n, kind=self.kind, names=self.names, row_pos=self.row_pos,
-                           row_known=self.row_known)
-            assert views == original(copy)
-        return original(self)
+            built.append(self)
+        return original_columns(self)
+
+    def deriving(self, changed):
+        result = original_derive(self, changed)
+        if result is not self:
+            derived.append((result, result._col_views))
+        return result
 
     monkeypatch.setattr(profiles.Profile, "_columns", counting)
+    monkeypatch.setattr(profiles.Profile, "_derive", deriving)
     assert solve_bribery_brute(inst).answer == "NO"
-    assert builds[0] == (True, False)
-    assert builds[1:] and all(build == (False, True) for build in builds[1:])
-    assert len(builds) == 8  # the 8 candidates of the node-count table
+    assert len(built) == 1 and built[0] is inst.profile
+    assert len(derived) == 7  # the 8 candidates of the node-count table, less the empty one
+    for profile, views in derived:
+        fresh = Profile(n=profile.n, kind=profile.kind, names=profile.names, row_pos=profile.row_pos,
+                        row_known=profile.row_known)
+        assert views == original_columns(fresh)

@@ -126,6 +126,8 @@ def test_flow_network_validation():
         FlowNetwork(2, 0, 1, ((0, 5, 1),))
     with pytest.raises(IndexOutOfRange):
         FlowNetwork(2, 0, 3, ())
+    with pytest.raises(IndexOutOfRange, match="^source 2 out of range for 2 vertices$"):
+        FlowNetwork(2, 2, 1, ())
 
 
 def test_max_flow_goldens():
@@ -136,6 +138,9 @@ def test_max_flow_goldens():
     assert value == 4
     assert set(cut) == {(0, 2, 2), (1, 3, 2)}
     assert max_flow(FlowNetwork(2, 0, 1, ((0, 1, 0),))) == (0, ())
+    # a self-loop carries no flow and crosses no cut
+    arcs = ((0, 1, 3), (0, 2, 2), (1, 3, 2), (2, 3, 3))
+    assert max_flow(FlowNetwork(4, 0, 3, arcs + ((1, 1, 5), (2, 2, 1)))) == max_flow(FlowNetwork(4, 0, 3, arcs))
     # parallel arcs merge
     value, cut = max_flow(FlowNetwork(2, 0, 1, ((0, 1, 2), (0, 1, 3))))
     assert value == 5

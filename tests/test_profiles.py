@@ -98,6 +98,11 @@ def test_subset_index_checked():
     p = ex1()
     with pytest.raises(IndexOutOfRange):
         eval(SocialRule.consent(1, 1), (0, 5), p)
+    # entry names the first index out of range
+    for a, b, bad in ((5, 7, 5), (0, -1, -1)):
+        with pytest.raises(IndexOutOfRange) as err:
+            p.entry(a, b)
+        assert str(err.value) == "individual index %d out of range for n=5" % bad
 
 
 def test_trace_only_for_sequential_rules():
@@ -394,24 +399,32 @@ def test_parse_format_roundtrip_keeps_every_view():
 
 
 def test_derive_patches_diagonal_masks():
-    # a chain of derived profiles keeps the diagonal masks a profile built
-    # from scratch on the same rows computes
+    # a chain of derived profiles keeps the diagonal and column views a
+    # profile built from scratch on the same rows computes, whether or not
+    # the root has built its column views; a derived profile arrives with
+    # column views exactly when its parent has them
     rng = random.Random(18)
     checked = 0
-    for p in _seeded_profiles():
-        full = profiles.full_mask(p.n)
-        derived = p
-        for _ in range(3 if p.n else 0):
-            changed = {}
-            for a in rng.sample(range(p.n), rng.randint(1, p.n)):
-                known = full if p.kind == "binary" else rng.randrange(full + 1)
-                changed[a] = (rng.randrange(full + 1) & known, known)
-            derived = derived._derive(changed)
-            fresh = Profile(n=p.n, kind=p.kind, names=p.names,
-                            row_pos=derived.row_pos, row_known=derived.row_known)
-            assert (derived.diag_pos, derived.diag_known) == (fresh.diag_pos, fresh.diag_known)
-            checked += 1
-    assert checked == 183
+    for root_built in (True, False):
+        for p in _seeded_profiles():
+            if root_built:
+                p._columns()
+            full = profiles.full_mask(p.n)
+            derived = p
+            for _ in range(3 if p.n else 0):
+                changed = {}
+                for a in rng.sample(range(p.n), rng.randint(1, p.n)):
+                    known = full if p.kind == "binary" else rng.randrange(full + 1)
+                    changed[a] = (rng.randrange(full + 1) & known, known)
+                parent_built = derived._col_views is not None
+                derived = derived._derive(changed)
+                assert (derived._col_views is not None) == parent_built
+                fresh = Profile(n=p.n, kind=p.kind, names=p.names,
+                                row_pos=derived.row_pos, row_known=derived.row_known)
+                assert (derived.diag_pos, derived.diag_known) == (fresh.diag_pos, fresh.diag_known)
+                assert derived._columns() == fresh._columns()
+                checked += 1
+    assert checked == 366
 
 
 def _members(sliced, u):
@@ -495,6 +508,10 @@ def test_parse_rule_tokens():
     for tokens in (["consent", "2"], ["consent", "0", "1"], ["wat"], [], ["csr", "1"]):
         with pytest.raises(ParseError):
             profiles.parse_rule_tokens(tokens)
+    for tokens in (["ternary", "2", "2"], ["ternary", "2", "*", "2", "1"]):
+        with pytest.raises(ParseError) as err:
+            profiles.parse_rule_tokens(tokens)
+        assert str(err.value) == "rule ternary takes three quotas", tokens
 
 
 def test_rule_describe_roundtrip():
@@ -524,3 +541,17 @@ def test_make_profile_reports_first_bad_cell():
         make_profile(patched({(4, 4): 5, (0, 1): 0}))
     with pytest.raises(ParseError, match=r"^bad cell value 'x' at \(1, 1\)$"):
         make_profile(patched({(3, 4): 9, (1, 1): "x", (1, 4): 0}))
+
+
+def test_make_profile_refuses_malformed_grids():
+    grid = ex1().rows()
+    cases = [
+        (dict(rows=grid, kind="quaternary"), "unknown profile kind: quaternary"),
+        (dict(rows=grid, names=("a", "b")), "profile has 5 rows but 2 names"),
+        (dict(rows=grid, names=("a", "b", "c", "b", "e")), "duplicate individual names"),
+        (dict(rows=grid[:3] + [grid[3][:4]] + grid[4:]), "row 3 has 4 cells, want 5"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ParseError) as err:
+            make_profile(**kwargs)
+        assert str(err.value) == message, kwargs
