@@ -246,20 +246,23 @@ def _judge(instance: AttackInstance):
     every profile judged is the instance's or one derived from it with the
     same n and kind, so that check covers every evaluation eval_mask makes.
     For a partition the population is the left part U, and the winners of
-    both parts, f(U) | f(N - U), go to a final round.  The rule's result on
-    the population must hold every constructive target and no destructive
-    one.
+    both parts, f(U) | f(N - U), go to a final round; both part rounds are
+    evaluated in full, since every winner enters the final round.  The
+    rule's result in the final round must hold every constructive target
+    and no destructive one, so that round is evaluated on the target
+    columns only (a column-local rule decides no other member).
     """
     rule = instance.rule
     ensure_applicable(rule, instance.profile)
     plus, minus = instance._target_masks
+    targets = plus | minus
     partition = instance.family == "GCPI"
     full = full_mask(instance.profile.n) if partition else 0
 
     def judge(population: int, profile: Profile) -> bool:
         if partition:
             population = eval_mask(rule, population, profile) | eval_mask(rule, full & ~population, profile)
-        final = eval_mask(rule, population, profile)
+        final = eval_mask(rule, population, profile, targets)
         return not (plus & ~final) and not (minus & final)
 
     return judge
@@ -351,7 +354,12 @@ def validate(instance: AttackInstance) -> list[str]:
     """Return named violations; an empty list means the instance is clean.
 
     Entries prefixed "warning:" flag trivially satisfied target sides per the
-    nontriviality remarks; solvers still run on such instances.
+    nontriviality remarks; solvers still run on such instances.  They come
+    from one rule evaluation of the start population (the pool for adding,
+    N otherwise) on masks, on the target columns only, and only once no
+    hard violation is found: AplusTriviallyQualified when aplus is non-empty
+    and all of it qualifies, AminusTriviallyDisqualified when aminus is
+    non-empty and none of it does.
     """
     out = []
     p = instance.profile
@@ -403,10 +411,14 @@ def validate(instance: AttackInstance) -> list[str]:
             out.append("RRestrictionViolated")
     if out:
         return out
-    start = profiles.eval(instance.rule, start_subset(instance), p)
-    if instance.aplus and instance.aplus <= start:
+    aplus = mask_of(instance.aplus)
+    aminus = mask_of(instance.aminus)
+    # a pool index out of range raises IndexOutOfRange, as evaluating any subset does
+    population = _index_mask(instance.pool, p.n) if instance.family == "GCAI" else full_mask(p.n)
+    start = eval_mask(instance.rule, population, p, aplus | aminus)
+    if aplus and not aplus & ~start:
         out.append("warning:AplusTriviallyQualified")
-    if instance.aminus and not (instance.aminus & start):
+    if aminus and not aminus & start:
         out.append("warning:AminusTriviallyDisqualified")
     return out
 

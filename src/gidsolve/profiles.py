@@ -22,7 +22,9 @@ solver reads them, and kept.  Profile._derive alone makes a derived
 profile's views: it copies the parent's, patched at the replaced rows,
 the column views only when the parent has built them.
 csr and lsr read rows only: a member joins once an already qualified member
-approves them, so each round is an OR of rows.
+approves them, so each round is an OR of rows.  A column-local rule reads
+one column per member, so eval_mask and eval_sliced can decide only the
+columns a caller reads, such as the targets of an attack.
 
 eval_sliced evaluates a rule on all 2^n subsets at once: one int per
 individual, with bit u standing for the subset whose mask is u
@@ -397,18 +399,21 @@ def subset_mask(subset, profile: Profile) -> int:
     return _index_mask(subset, profile.n)
 
 
-def eval_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
+def eval_mask(rule: SocialRule, t_mask: int, profile: Profile, columns: int | None = None) -> int:
     """Mask-level evaluation core; assumes rule applicability was checked.
 
     Callers run ensure_applicable once and may then evaluate any number of
-    masks and profiles of the same n and kind.
+    masks and profiles of the same n and kind.  A column-local rule decides
+    only the members of T in the columns mask (all of T when None) and
+    leaves the rest out of the result, as eval_sliced does; csr and lsr
+    compute every member, because qualification spreads along rows.
     """
     if rule.column_local:
-        return _quota_mask(rule, t_mask, profile)
+        return _quota_mask(rule, t_mask, profile, t_mask if columns is None else t_mask & columns)
     return _sequential_rounds(rule.variant, t_mask, profile)[-1]
 
 
-def _quota_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
+def _quota_mask(rule: SocialRule, t_mask: int, profile: Profile, members: int) -> int:
     """consent(s, t) and ternary(s, s', t) on T, column by column.
 
     A member of T stands by its own diagonal once that side's count in its
@@ -420,7 +425,8 @@ def _quota_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
       s' approvals.
 
     Consent is the star-free case: binary profiles know every diagonal, so
-    s' is read only on ternary profiles.
+    s' is read only on ternary profiles.  Only the columns of members, a
+    submask of T, are decided; the counts still run over the whole of T.
     """
     col_pos, col_known = profile._columns()
     diag_pos = profile.diag_pos
@@ -430,7 +436,7 @@ def _quota_mask(rule: SocialRule, t_mask: int, profile: Profile) -> int:
     result = 0
     # bits() inlined here and in _sequential_rounds: they run once per
     # candidate witness in the oracles
-    rest = t_mask
+    rest = members
     while rest:
         bit = rest & -rest
         rest ^= bit

@@ -13,9 +13,10 @@ consent duality is what makes the destructive sign correct.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from . import profiles
 from .errors import InstanceTooLarge, PreconditionViolated
@@ -36,7 +37,6 @@ from .oracle import (
     DEFAULT_SEARCH,
     SearchBudget,
     _first_witness,
-    _partition_candidates,
     _subsets,
     _verified_yes,
     solve_bribery_brute,
@@ -167,15 +167,31 @@ def check_immunity(instance: AttackInstance) -> ImmunityVerdict:
 
 
 def preflight(instance: AttackInstance) -> Verdict | None:
-    """Shared solver entry: trivial instances and immunity short-circuits."""
+    """Shared solver entry: trivial instances and immunity short-circuits.
+
+    One rule evaluation decides the empty witness outside GCPI.  For adding,
+    deleting, bribery and microbribery the empty action leaves the start
+    population (the pool or N) and the profile as they are, so it meets the
+    objective iff every non-empty target side the objective counts is one
+    validate warned about as trivially satisfied.  An empty partition
+    evaluates f(f(N)) instead, which validate does not see, so GCPI checks
+    the empty witness with check_witness.
+    """
     violations = validate(instance)
     hard = hard_violations(violations)
     if hard:
         raise PreconditionViolated("invalid instance: %s" % ", ".join(hard))
+    # past the hard violations only warnings are left
     empty = Solution(FAMILY_KIND[instance.family])
-    if check_witness(instance, empty):
+    if instance.family == "GCPI":
+        trivial = check_witness(instance, empty)
+    else:
+        plus, minus = instance._target_masks
+        trivial = ((not plus or "warning:AplusTriviallyQualified" in violations)
+                   and (not minus or "warning:AminusTriviallyDisqualified" in violations))
+    if trivial:
         return Verdict("YES", witness=empty)
-    if any(v.startswith("warning:") for v in violations):
+    if violations:
         # a trivially satisfied target side voids the immunity arguments
         return None
     immunity = check_immunity(instance)
@@ -500,6 +516,56 @@ def _mirrored(sliced: int, n: int) -> int:
     return int.from_bytes(mirrored, "big") >> (8 * size - width)
 
 
+@cache
+def _size_levels(n: int) -> tuple[int, ...]:
+    """levels[k]: the positions of profiles.slice_basis(n) whose subset has k members."""
+    every, xs = profiles.slice_basis(n)
+    levels = [every] + [0] * n
+    for seen, x in enumerate(xs, 1):
+        # levels[k] over the individuals seen so far, the new one in or out
+        for k in range(seen, 0, -1):
+            levels[k] = (levels[k] & ~x) | (levels[k - 1] & x)
+        levels[0] &= ~x
+    return tuple(levels)
+
+
+def _first_partition(accepted: int, n: int) -> tuple[int, int]:
+    """(count, u): the first accepted position u in the order of
+    oracle._partition_candidates(n), and u's rank there, counted from 1.
+
+    accepted is a non-empty sliced mask whose positions all hold the pinned
+    individual 0 (n > 0).  That order runs through the bodies (U without 0)
+    by size, then lexicographically, so u is the lexicographically first
+    accepted body of the smallest size that has one: each individual in turn
+    is taken when some remaining accepted body holds it.  The rank counts
+    the bodies of every smaller size, then those of u's size that put a
+    smaller individual at one of its places.
+    """
+    pinned = 1 if n else 0
+    xs = profiles.slice_basis(n)[1]
+    levels = _size_levels(n)
+    count = 1
+    size = 0
+    hits = accepted & levels[pinned]
+    while not hits:
+        count += math.comb(n - 1, size)
+        size += 1
+        hits = accepted & levels[size + pinned]
+    body = []
+    for a in range(1, n):
+        held = hits & xs[a]
+        if held:
+            hits = held
+            body.append(a)
+    previous = 0
+    for place, a in enumerate(body):
+        # the bodies that agree before this place and hold v here, v < a
+        for v in range(previous + 1, a):
+            count += math.comb(n - 1 - v, size - place - 1)
+        previous = a
+    return count, pinned | profiles.mask_of(body)
+
+
 def _gcpi_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
     """Partition control by judging every partition at once, bit-sliced.
 
@@ -509,7 +575,8 @@ def _gcpi_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
     column-local rule needs only the target columns.  The positions whose
     final result meets the objective and that hold the pinned individual 0
     are the accepted candidates of control_brute; the first of them in its
-    order is the witness, and the node limit is charged as there.
+    order is the witness, found and ranked by _first_partition, and the node
+    limit is charged as there.
     """
     p = instance.profile
     n = p.n
@@ -530,10 +597,7 @@ def _gcpi_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
     # accepted one in its order
     examined, witness = 1 << max(n - 1, 0), None
     if accepted:
-        # bytes, so testing a position does not shift the whole mask
-        held = accepted.to_bytes(((1 << n) + 7) // 8, "little")
-        examined, witness = next((count, u) for count, u in enumerate(_partition_candidates(n), 1)
-                                 if held[u >> 3] >> (u & 7) & 1)
+        examined, witness = _first_partition(accepted, n)
     if search.node_limit is not None and examined > search.node_limit:
         raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
     if witness is None:

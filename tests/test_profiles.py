@@ -482,6 +482,50 @@ def test_eval_sliced_matches_eval_mask_on_seeded_profiles():
                         assert part == [whole[a] if a in columns else 0 for a in range(n)]
 
 
+def _assert_columns_match(rule, p, grid, rng=None):
+    # eval_mask on every T (a seeded sample of column masks when rng is
+    # given, every column mask otherwise) against the reference rounds: a
+    # column-local rule decides only the columns asked for, csr and lsr
+    # compute every member whatever the mask
+    n = p.n
+    for t_mask in range(1 << n):
+        whole = eval_mask(rule, t_mask, p)
+        t = [a for a in range(n) if t_mask >> a & 1]
+        assert whole == profiles.mask_of(reference_rounds(rule, t, grid)[-1]), (rule, grid, t)
+        columns = range(1 << n) if rng is None else [rng.randrange(1 << n) for _ in range(3)]
+        for c in columns:
+            want = whole & c if rule.column_local else whole
+            assert eval_mask(rule, t_mask, p, c) == want, (rule, grid, t, c)
+
+
+def test_eval_mask_columns_exhaustively():
+    # every binary profile up to n = 3 under every valid rule, and every
+    # ternary profile up to n = 2 (star diagonals, s' given and *), on every
+    # T and every column mask
+    checked = 0
+    for kind, values, top in (("binary", (1, -1), 3), ("ternary", (1, -1, 0), 2)):
+        for n in range(top + 1):
+            for cells in itertools.product(values, repeat=n * n):
+                grid = [cells[a * n:(a + 1) * n] for a in range(n)]
+                p = make_profile(grid, kind=kind)
+                for rule in valid_rules(n, kind):
+                    _assert_columns_match(rule, p, grid)
+                    checked += 1
+    assert checked == 7836
+
+
+def test_eval_mask_columns_on_seeded_profiles():
+    rng = random.Random(2001)
+    for n in (4, 5, 6):
+        for kind in ("binary", "ternary"):
+            for _ in range(3):
+                p = generators.gen_random_profile(n, kind, 0.3 if kind == "ternary" else 0.0,
+                                                  seed=rng.randrange(1 << 30))
+                grid = p.rows()
+                for rule in valid_rules(n, kind):
+                    _assert_columns_match(rule, p, grid, rng)
+
+
 def test_parse_skips_make_profile(monkeypatch):
     calls = []
     original = make_profile

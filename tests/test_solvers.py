@@ -18,6 +18,9 @@ from gidsolve.generators import (
     rx3c_to_cgb,
 )
 from gidsolve.instances import (
+    FAMILIES,
+    FAMILY_KIND,
+    OBJECTIVES,
     AttackInstance,
     Solution,
     check_witness,
@@ -28,12 +31,14 @@ from gidsolve.instances import (
 )
 from gidsolve.oracle import (
     SearchBudget,
+    _partition_candidates,
     solve_bribery_brute,
     solve_control_brute,
     solve_microbribery_brute,
 )
 from gidsolve.solvers import (
     IMMUNITY_TABLE,
+    _first_partition,
     ORACLE_FOR_FAMILY,
     ORACLES,
     SOLVERS,
@@ -53,7 +58,7 @@ from gidsolve.solvers import (
     solve_microbribery_consent,
 )
 
-from helpers import ex1
+from helpers import ex1, valid_rules
 
 
 def consent(s, t):
@@ -291,6 +296,81 @@ def test_preflight_rejects_hard_invalid():
                              aplus=(0,), aminus=(0,), budget=1)
     with pytest.raises(PreconditionViolated):
         preflight(instance)
+
+
+def _empty_witness_options(n):
+    """Per family, every (objective, aplus, aminus, pool, budget) of a valid
+    instance on n individuals: every target shape (empty sides included),
+    every GCAI pool that holds the targets, budgets 0 and 1, and for the
+    exact objective only the shapes that cover the pool or N."""
+    everyone = frozenset(range(n))
+    options = {family: [] for family in FAMILIES}
+    for labels in itertools.product((0, 1, -1), repeat=n):
+        aplus = frozenset(a for a in range(n) if labels[a] == 1)
+        aminus = frozenset(a for a in range(n) if labels[a] == -1)
+        targets = aplus | aminus
+        rest = sorted(everyone - targets)
+        pools = [targets | frozenset(extra) for size in range(len(rest) + 1)
+                 for extra in itertools.combinations(rest, size)]
+        for family in FAMILIES:
+            for objective in OBJECTIVES:
+                for pool in pools if family == "GCAI" else (None,):
+                    if objective == "exact" and targets != (everyone if pool is None else pool):
+                        continue
+                    for budget in (None,) if family == "GCPI" else (0, 1):
+                        options[family].append((objective, aplus, aminus, pool, budget))
+    return options
+
+
+def test_preflight_answers_the_empty_witness_as_check_witness_does():
+    # every binary profile up to n = 3 under every valid rule and every
+    # family; up to n = 2 every objective, target shape, pool and budget,
+    # at n = 3 one of them per family, cycling through them by (profile,
+    # rule) pair
+    checked = trivial = 0
+    for n in range(4):
+        options = _empty_witness_options(n)
+        pair = 0
+        for cells in itertools.product((1, -1), repeat=n * n):
+            p = profiles.make_profile([cells[a * n:(a + 1) * n] for a in range(n)])
+            for rule in valid_rules(n, "binary"):
+                for family, cases in options.items():
+                    empty = Solution(FAMILY_KIND[family])
+                    for objective, aplus, aminus, pool, budget in cases if n < 3 else [cases[pair % len(cases)]]:
+                        instance = make_instance(p, rule, family, objective, aplus, aminus, pool, budget)
+                        verdict = preflight(instance)
+                        holds = check_witness(instance, empty)
+                        assert (verdict is not None and verdict.witness == empty) == holds, instance
+                        checked += 1
+                        trivial += holds
+                pair += 1
+    assert (checked, trivial) == (82372, 46439)
+
+
+def test_preflight_checks_the_empty_witness_for_gcpi_only(monkeypatch):
+    # the other families read validate's warnings; an empty partition
+    # evaluates f(f(N)), which validate does not see
+    calls = []
+    original = solvers.check_witness
+
+    def counting(instance, solution):
+        calls.append(solution)
+        return original(instance, solution)
+
+    monkeypatch.setattr(solvers, "check_witness", counting)
+    p = ex1()
+    seen = set()
+    for family in FAMILIES:
+        for objective, aplus, aminus in (("constructive", (4,), ()), ("destructive", (), (2,)),
+                                         ("general", (0,), (2,)), ("general", (), ())):
+            instance = make_instance(p, consent(1, 2), family, objective, aplus, aminus,
+                                     pool=range(5) if family == "GCAI" else None,
+                                     budget=None if family == "GCPI" else 1)
+            calls.clear()
+            verdict = preflight(instance)
+            seen.add(verdict and verdict.answer)
+            assert calls == ([Solution.partition(())] if family == "GCPI" else []), (family, objective)
+    assert seen == {None, "YES", "IMMUNE"}
 
 
 # constructive bribery with t=1
@@ -982,6 +1062,50 @@ def test_gcpi_sliced_matches_control_brute():
                 solve_control_brute, instance, oracle.DEFAULT_SEARCH)
             wide += 1
     assert wide == 4
+
+
+def test_first_partition_ranks_as_the_candidate_order():
+    # the first accepted left part and its count, as a walk over
+    # oracle._partition_candidates finds them: every non-empty accepted set
+    # up to n = 4, then seeded ones up to n = 10
+    def walk(accepted, n):
+        return next((count, u) for count, u in enumerate(_partition_candidates(n), 1) if accepted >> u & 1)
+
+    rng = random.Random(1920)
+    for n in range(11):
+        candidates = list(_partition_candidates(n))
+        if n <= 4:
+            picks = [[u for i, u in enumerate(candidates) if pick >> i & 1]
+                     for pick in range(1, 1 << len(candidates))]
+        else:
+            picks = [rng.sample(candidates, rng.choice((1, 2, 5, len(candidates) // 4))) for _ in range(200)]
+        for pick in picks:
+            accepted = profiles.mask_of(pick)
+            assert _first_partition(accepted, n) == walk(accepted, n), (n, pick)
+
+
+def test_gcpi_sliced_ranks_a_deep_witness_at_n16():
+    # the witness ranks 23,650th of 32,768 candidates (the bodies of sizes 0
+    # to 8 are 22,819 of them): gcpi_sliced refuses one node short of it,
+    # as control_brute does
+    full = (1 << 16) - 1
+    rows = (50672, 27491, 59980, 37280, 47707, 50678, 9670, 42940,
+            63447, 8448, 65534, 63756, 50435, 60716, 46032, 39911)
+    p = profiles.Profile(n=16, kind="binary", names=profiles.default_names(16),
+                         row_pos=rows, row_known=(full,) * 16)
+    instance = make_instance(p, profiles.SocialRule.csr(), "GCPI", "general", aplus=(4,),
+                             aminus=(0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 14))
+    assert preflight(instance) is None
+    assert auto_solver(instance)[0] == "gcpi_sliced"
+    rank = 23650
+    witness = Solution.partition((0, 1, 2, 3, 6, 9, 11, 12, 13, 15))
+    for limit, want in ((None, ("YES", witness)), (rank, ("YES", witness)),
+                        (rank - 1, ("refused", "candidate count exceeded node limit 23649"))):
+        search = SearchBudget(node_limit=limit)
+        assert _outcome(solve_gcpi_sliced.run, instance, search) == want, limit
+    for limit in (rank, rank - 1):
+        search = SearchBudget(node_limit=limit)
+        assert _outcome(solve_control_brute, instance, search) == _outcome(solve_gcpi_sliced.run, instance, search)
 
 
 def test_auto_dispatch_r1_specialization():
