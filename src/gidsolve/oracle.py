@@ -310,7 +310,7 @@ def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = No
     if r is not None:
         needs = _r_extension_needs(profile, r, search)
     else:
-        unknown = len(profile.unknown_cells())
+        unknown = sum(profile.n - known.bit_count() for known in profile.row_known)
         if search.node_limit is not None and 2 ** unknown > search.node_limit:
             raise InstanceTooLarge("2^%d extensions exceed node limit %d" % (unknown, search.node_limit))
         needs = (None,) * profile.n
@@ -330,7 +330,7 @@ def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = No
         row_pos = tuple(pos | extra for pos, extra in zip(profile.row_pos, plus))
         extension = Profile(n=profile.n, kind="binary", names=profile.names,
                             row_pos=row_pos, row_known=all_known)
-        ok = not wanted_mask & ~profiles.eval_mask(rule, full, extension)
+        ok = not wanted_mask & ~profiles.eval_mask(rule, full, extension, wanted_mask)
         possible = possible or ok
         necessary = necessary and ok
         if possible and not necessary:

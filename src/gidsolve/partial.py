@@ -24,8 +24,10 @@ The unrestricted queries reduce to evaluating one canonical completion:
   of positive entries, so the all-+1 completion maximises and the
   all--1 completion minimises the outcome over all completions.
 
-Both completions come from one builder over the row masks.  The
-r-restricted consent solvers run on flow feasibility over the unknown
+Both completions come from one builder over the row masks.  Past its
+guards every route works on the checked query mask and judges each
+completion on the query columns only; csr and lsr compute every member.
+The r-restricted consent solvers run on flow feasibility over the unknown
 cells of S-columns (possible) and on per-column forced and dodgeable
 masks (necessary).  For csr and lsr every r-extension lies between the
 two canonical completions, so they bound the r-restricted queries, and
@@ -55,7 +57,7 @@ from .oracle import (
     pqi_nqi_brute,
     row_needs,
 )
-from .profiles import Profile, SocialRule, bits, eval, eval_mask, full_mask, mask_of
+from .profiles import Profile, SocialRule, bits, eval_mask, full_mask, mask_of
 
 PQI = "PQI"
 NQI = "NQI"
@@ -165,36 +167,33 @@ def max_flow(net: FlowNetwork) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     return value, cut
 
 
-def _check_query(profile: Profile, subset, rule: SocialRule) -> list[int]:
+def _check_query(profile: Profile, subset, rule: SocialRule) -> int:
     """Shared guards: _query_mask's kind and index refusals, then the empty
-    set and the quota bound; returns the sorted member list."""
+    set and the quota bound; returns the checked mask the routes work on."""
     wanted = _query_mask(profile, subset)
     if not wanted:
         raise PreconditionViolated("query set must be nonempty")
     rule.ensure_quota_bound(profile.n)
-    return list(bits(wanted))
+    return wanted
 
 
-def _extension(profile: Profile, subset, rule: SocialRule, sign: int) -> Profile:
-    """Binary completion resolving the unknowns to sign, for or against the set.
+def _extension(profile: Profile, wanted: int, rule: SocialRule, sign: int) -> Profile:
+    """Binary completion resolving the unknowns to sign, for or against the
+    checked query mask wanted; _qualifies judges it on the query columns.
 
     For sign = +1 an unknown (b, a) turns +1 in every column under csr/lsr
     and in the members' columns otherwise, and -1 elsewhere; for sign = -1
     every unknown turns -1.
     """
-    members = _check_query(profile, subset, rule)
     n = profile.n
     full = full_mask(n)
-    if sign < 0:
-        favoured = 0
-    else:
-        favoured = mask_of(members) if rule.column_local else full
+    favoured = 0 if sign < 0 else (wanted if rule.column_local else full)
     pos = [rp | (~rk & favoured) for rp, rk in zip(profile.row_pos, profile.row_known)]
     if rule.variant == "ternary":
         # no quota bound, so neither diagonal value dominates: where +1 misses
         # the s quota and -1 stays under the t quota, only -1 qualifies a, and
         # the unknown diagonal takes -sign
-        for a in bits(mask_of(members) & ~profile.diag_known):
+        for a in bits(wanted & ~profile.diag_known):
             quals_off = sum(pos[b] >> a & 1 for b in range(n) if b != a)
             if quals_off + 1 < rule.s and n - quals_off < rule.t:
                 pos[a] ^= 1 << a
@@ -203,12 +202,12 @@ def _extension(profile: Profile, subset, rule: SocialRule, sign: int) -> Profile
 
 def optimistic_extension(profile: Profile, subset, rule: SocialRule) -> Profile:
     """Completion resolving every unknown in favour of the queried set."""
-    return _extension(profile, subset, rule, 1)
+    return _extension(profile, _check_query(profile, subset, rule), rule, 1)
 
 
 def pessimistic_extension(profile: Profile, subset, rule: SocialRule) -> Profile:
     """Completion resolving every unknown against the queried set."""
-    return _extension(profile, subset, rule, -1)
+    return _extension(profile, _check_query(profile, subset, rule), rule, -1)
 
 
 def _plain_query_guards(profile: Profile, query: PartialQuery, mode: str):
@@ -218,22 +217,25 @@ def _plain_query_guards(profile: Profile, query: PartialQuery, mode: str):
         raise PreconditionViolated("r-restricted queries use the r_* solvers")
 
 
+def _qualifies(rule: SocialRule, completion: Profile, wanted: int) -> bool:
+    """The one completion test: all of wanted qualifies, judged on its columns
+    (pqi and nqi build the completion first, checking the set mask_of reads)."""
+    return not wanted & ~eval_mask(rule, full_mask(completion.n), completion, wanted)
+
+
 def pqi(profile: Profile, query: PartialQuery, rule: SocialRule) -> bool:
     """Possible qualification: some completion qualifies all of S."""
     _plain_query_guards(profile, query, PQI)
-    ext = optimistic_extension(profile, query.subset, rule)
-    return query.subset <= eval(rule, None, ext)
+    return _qualifies(rule, optimistic_extension(profile, query.subset, rule), mask_of(query.subset))
 
 
 def nqi(profile: Profile, query: PartialQuery, rule: SocialRule) -> bool:
     """Necessary qualification: every completion qualifies all of S."""
     _plain_query_guards(profile, query, NQI)
-    ext = pessimistic_extension(profile, query.subset, rule)
-    return query.subset <= eval(rule, None, ext)
+    return _qualifies(rule, pessimistic_extension(profile, query.subset, rule), mask_of(query.subset))
 
 
-def _star_flow_value(profile: Profile, members: list[int], needs: list[int],
-                     demands: dict[int, int]) -> bool:
+def _star_flow_value(profile: Profile, wanted: int, needs: list[int], demands: dict[int, int]) -> bool:
     """Feasibility of routing row surpluses onto unknown S-column cells.
 
     Rows supply at most their remaining need, each unknown off-diagonal
@@ -247,15 +249,14 @@ def _star_flow_value(profile: Profile, members: list[int], needs: list[int],
     n = profile.n
     source = 0
     row_base = 1
-    col_index = {a: row_base + n + i for i, a in enumerate(members)}
-    sink = row_base + n + len(members)
+    col_index = {a: row_base + n + i for i, a in enumerate(bits(wanted))}
+    sink = row_base + n + len(col_index)
     arcs = [(source, row_base + b, need) for b, need in enumerate(needs) if need > 0]
-    member_mask = mask_of(members)
     for b, known in enumerate(profile.row_known):
-        for a in bits(member_mask & ~known & ~(1 << b)):
+        for a in bits(wanted & ~known & ~(1 << b)):
             arcs.append((row_base + b, col_index[a], 1))
-    for a in members:
-        arcs.append((col_index[a], sink, demands[a]))
+    for a, col in col_index.items():
+        arcs.append((col, sink, demands[a]))
     value, _cut = max_flow(FlowNetwork(sink + 1, source, sink, tuple(arcs)))
     return value == total
 
@@ -299,9 +300,9 @@ def _r_pqi_branches(profile: Profile, subset, r: int, rule: SocialRule, values) 
     unknown off-diagonal cells of its column, or a forced +1 diagonal
     overdraws its row; otherwise it is one flow feasibility check.
     """
-    members = _check_query(profile, subset, rule)
+    wanted = _check_query(profile, subset, rule)
     base_needs = row_needs(profile, r)
-    star_diags = list(bits(mask_of(members) & ~profile.diag_known))
+    star_diags = list(bits(wanted & ~profile.diag_known))
     branches = len(values) ** len(star_diags)
     if branches > R_PQI_BRANCH_CAP:
         raise InstanceTooLarge("%d diagonal branches exceed cap %d" % (branches, R_PQI_BRANCH_CAP))
@@ -309,7 +310,7 @@ def _r_pqi_branches(profile: Profile, subset, r: int, rule: SocialRule, values) 
         resolved = dict(zip(star_diags, choice))
         needs = list(base_needs)
         demands = {}
-        for a in members:
+        for a in bits(wanted):
             star = 1 if a in resolved else 0  # the diagonal counts on its resolved side
             off_diag_stars = profile.n - profile.col_known[a].bit_count() - star
             if resolved.get(a) == 1 or profile.diag_pos >> a & 1:
@@ -323,7 +324,7 @@ def _r_pqi_branches(profile: Profile, subset, r: int, rule: SocialRule, values) 
             if demands[a] > off_diag_stars:
                 break
         else:
-            if _star_flow_value(profile, members, needs, demands):
+            if _star_flow_value(profile, wanted, needs, demands):
                 return True
     return False
 
@@ -343,14 +344,14 @@ def r_nqi(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
         raise PreconditionViolated("the r solver handles consent, csr and lsr rules")
     if not rule.column_local and r != 1:
         raise PreconditionViolated("sequential rules are only solved directly for r = 1")
-    members = _check_query(profile, subset, rule)
+    wanted = _check_query(profile, subset, rule)
     n = profile.n
     needs = row_needs(profile, r)
     spend_all = mask_of(b for b, (need, known) in enumerate(zip(needs, profile.row_known))
                         if need == n - known.bit_count())
     if not rule.column_local:
-        return _r1_sequential(profile, mask_of(members), rule, spend_all)
-    for a in members:
+        return _r1_sequential(profile, wanted, rule, spend_all)
+    for a in bits(wanted):
         bit = 1 << a
         forced = profile.col_pos[a] | (~profile.col_known[a] & spend_all)
         quals_off = (forced & ~bit).bit_count()
@@ -408,10 +409,9 @@ def r_sequential(profile: Profile, subset, r: int, rule: SocialRule, mode: str,
         return True  # the empty set qualifies under every completion
     if r == 1 and mode == PQI:
         return _r1_sequential(profile, wanted, rule, mask_of(b for b, need in enumerate(needs) if need))
-    full = full_mask(profile.n)
-    if not wanted & ~eval_mask(rule, full, _extension(profile, subset, rule, -1)):
+    if _qualifies(rule, _extension(profile, wanted, rule, -1), wanted):
         return True
-    if wanted & ~eval_mask(rule, full, _extension(profile, subset, rule, 1)):
+    if not _qualifies(rule, _extension(profile, wanted, rule, 1), wanted):
         return False
     return None
 

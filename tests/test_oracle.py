@@ -513,8 +513,9 @@ def test_column_views_built_only_where_read(monkeypatch):
 
 
 def test_oracles_skip_public_eval(monkeypatch):
-    # check_witness and pqi_nqi_brute evaluate on masks, after one
-    # applicability check, so the public frozenset wrapper is never called
+    # check_witness, pqi_nqi_brute and every answer_query route evaluate on
+    # masks, after one applicability check, so the public frozenset wrapper
+    # is never called
     calls = []
     original = profiles.eval
 
@@ -522,7 +523,9 @@ def test_oracles_skip_public_eval(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(profiles, "eval", counting)
+    # patch the imported binding in partial too, so a direct import is counted
+    for module in (profiles, partial):
+        monkeypatch.setattr(module, "eval", counting, raising=False)
     consent22 = SocialRule.consent(2, 2)
     partial_p = make_profile([[1, 0, -1], [0, 0, 1], [-1, 1, 0]], kind="partial")
     one_each = make_profile([[0, 0, -1], [-1, 0, 0], [0, -1, 0]], kind="partial")
@@ -547,6 +550,20 @@ def test_oracles_skip_public_eval(monkeypatch):
         assert pqi_nqi_brute(partial_p, (0, 1), rule) == (True, False), rule
         pqi_nqi_brute(one_each, (0,), rule, r=1)
         assert calls == [], rule
+    diagonal = make_profile([[1, 0, 0], [0, 1, 0], [0, 0, 1]], kind="partial")
+    routes = [
+        (partial.PQI, None, SocialRule.consent(1, 1), "pqi"),
+        (partial.NQI, None, consent22, "nqi"),
+        (partial.PQI, 1, SocialRule.consent(2, 1), "r_pqi_consent_flow"),
+        (partial.PQI, 1, SocialRule.consent(1, 2), "r_pqi_general"),
+        (partial.NQI, 1, consent22, "r_nqi"),
+        (partial.NQI, 2, SocialRule.lsr(), "r_sequential"),
+        (partial.NQI, 2, SocialRule.csr(), "brute"),
+    ]
+    for mode, r, rule, expected in routes:
+        _, route = partial.answer_query(diagonal, partial.PartialQuery((0,), mode, r), rule)
+        assert route == expected
+        assert calls == [], expected
 
 
 def _search_candidates(instance):

@@ -2,7 +2,9 @@
 
 import collections
 import itertools
+import pathlib
 import random
+import re
 
 import pytest
 
@@ -568,6 +570,7 @@ def test_every_route_names_the_same_out_of_range_index():
     routes = (
         lambda: pqi_nqi_brute(profile, subset, consent(1, 1), r=1),
         lambda: pqi(profile, PartialQuery(subset, PQI), consent(1, 1)),
+        lambda: nqi(profile, PartialQuery(subset, NQI), consent(1, 1)),
         lambda: r_pqi_general(profile, subset, 1, consent(1, 1)),
         lambda: r_nqi(profile, subset, 1, consent(1, 1)),
         lambda: r_sequential(profile, subset, 1, SocialRule.lsr(), PQI),
@@ -639,3 +642,21 @@ def test_every_query_route_matches_brute_on_n3_sample():
         rule = rng.choice(rules)
         check_extensions(profile, subset, rule)
         check_query_routes(profile, subset, rule, rng.choice([None, 1, 2, 3]))
+
+
+def test_readme_route_table_matches_the_routes():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("| route | domain |", 1)[1].split("\n\n", 1)[0]
+    documented = set()
+    for line in table.splitlines()[2:]:
+        documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    # every route answer_query names on a seeded sweep of valid queries
+    rng = random.Random(23)
+    answered = set()
+    for _ in range(400):
+        n = rng.randrange(2, 5)
+        r = rng.choice([None, 1, 2])
+        profile = random_partial(rng, n, 6) if r is None else random_r_partial(rng, n, min(r, n), 6)
+        query = PartialQuery(random_subset(rng, n), rng.choice([PQI, NQI]), r)
+        answered.add(answer_query(profile, query, rng.choice(query_rules(n)))[1])
+    assert documented == answered
