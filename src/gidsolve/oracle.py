@@ -12,7 +12,10 @@ and decides each with the judgement core check_witness also uses
 that one witness is passed through check_witness before it is returned.
 The only cleverness allowed is cutting provably irrelevant degrees of
 freedom (canonical bribery rewrites for column-local rules, a fixed pivot
-for the symmetric partition question).
+for the symmetric partition question).  The sliced solvers judge these
+same candidates all at once and return the first witness and the node
+count of an oracle: gcpi_sliced control_brute's, bribery_sliced
+bribery_brute's under csr and lsr.
 """
 
 from __future__ import annotations

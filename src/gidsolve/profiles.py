@@ -29,6 +29,8 @@ columns a caller reads, such as the targets of an attack.
 eval_sliced evaluates a rule on all 2^n subsets at once: one int per
 individual, with bit u standing for the subset whose mask is u
 (slice_basis), so each step of eval_mask becomes one operation on ints.
+Its csr/lsr closure, _sliced_closure, takes sliced approvals, so each
+position may also have rows of its own.
 """
 
 from __future__ import annotations
@@ -559,17 +561,33 @@ def eval_sliced(rule: SocialRule, populations, profile: Profile, columns=None) -
     else:
         for a in bits(profile.diag_pos):
             out[a] = populations[a]
-    # the least fixed point of K[a] = K0[a] | (T[a] & K[b]) for each b
-    # approving a, which the synchronous rounds reach position by position
-    work = [a for a in range(n) if out[a]]
-    while work:
-        b = work.pop()
+    # b's row approves a at every position, where a is in T
+    return _sliced_closure(out, [[(a, populations[a]) for a in bits(row)] for row in row_pos])
+
+
+def _sliced_closure(out: list[int], approvals) -> list[int]:
+    """Grow the sliced start sets out, in place, to the least fixed point of
+    K[a] = K0[a] | OR of (K[b] & A[b][a]) over every b.
+
+    approvals[b] lists the pairs (a, A[b][a]), A[b][a] the positions at
+    which b approves a, so each position may have rows of its own.  The
+    synchronous csr/lsr rounds reach the same fixed point position by
+    position; pending holds the members whose growth is not passed on yet.
+    """
+    pending = 0
+    for a, positions in enumerate(out):
+        if positions:
+            pending |= 1 << a
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        b = low.bit_length() - 1
         kb = out[b]
-        for a in bits(row_pos[b]):
-            grown = out[a] | (kb & populations[a])
+        for a, approval in approvals[b]:
+            grown = out[a] | (kb & approval)
             if grown != out[a]:
                 out[a] = grown
-                work.append(a)
+                pending |= 1 << a
     return out
 
 

@@ -44,6 +44,7 @@ from gidsolve.solvers import (
     IMMUNITY_TABLE,
     check_immunity,
     solve_auto,
+    solve_bribery_sliced,
     solve_cgb_xp,
     solve_cgcai_r1,
     solve_dgb_xp,
@@ -488,6 +489,17 @@ def _i_gcpi(rng):
     return make_instance(p, rule, "GCPI", objective, aplus=aplus, aminus=aminus)
 
 
+def _i_gb_sequential(rng):
+    n = rng.randint(3, 7)
+    p = _draw_profile(rng, n)
+    rule = rng.choice((SocialRule.csr(), SocialRule.lsr()))
+    objective = rng.choice(("constructive", "destructive", "general", "exact"))
+    aplus, aminus = _draw_targets(rng, n, objective)
+    prices = {a: rng.randint(1, 3) for a in range(n)} if rng.random() < 0.5 else None
+    return make_instance(p, rule, "GB", objective, aplus=aplus, aminus=aminus,
+                         budget=rng.randint(0, 3), agent_prices=prices)
+
+
 _ORACLE_SWEEPS = (
     ("cgb_xp", _i_cgb, solve_cgb_xp, solve_bribery_brute, 41),
     ("dgb_xp", _i_dgb, solve_dgb_xp, solve_bribery_brute, 42),
@@ -499,6 +511,7 @@ _ORACLE_SWEEPS = (
      solve_microbribery_brute, 46),
     ("fpt_ilp", _i_fpt, solve_fpt_ilp, solve_control_brute, 47),
     ("gcpi_sliced", _i_gcpi, solve_gcpi_sliced, solve_control_brute, 48),
+    ("bribery_sliced", _i_gb_sequential, solve_bribery_sliced, solve_bribery_brute, 49),
 )
 
 

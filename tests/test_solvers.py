@@ -32,13 +32,14 @@ from gidsolve.instances import (
 from gidsolve.oracle import (
     SearchBudget,
     _partition_candidates,
+    _subsets,
     solve_bribery_brute,
     solve_control_brute,
     solve_microbribery_brute,
 )
 from gidsolve.solvers import (
     IMMUNITY_TABLE,
-    _first_partition,
+    _first_accepted,
     ORACLE_FOR_FAMILY,
     ORACLES,
     SOLVERS,
@@ -48,6 +49,7 @@ from gidsolve.solvers import (
     check_immunity,
     preflight,
     solve_auto,
+    solve_bribery_sliced,
     solve_cgb_xp,
     solve_cgcai_r1,
     solve_dgb_xp,
@@ -1003,19 +1005,31 @@ def test_auto_dispatch_names():
         (make_instance(p, profiles.SocialRule.csr(), "GMB", "constructive",
                        aplus=(0,), budget=3), "microbribery_brute"),
         (make_instance(p, profiles.SocialRule.csr(), "GB", "constructive",
-                       aplus=(0,), budget=2), "bribery_brute"),
+                       aplus=(0,), budget=2), "bribery_sliced"),
         (make_instance(p, consent(2, 2), "GCPI", "destructive",
                        aminus=(2,)), "gcpi_sliced"),
+        # at n = 8 budget 2 is past the crossover of bribery_sliced, and
+        # budget 1 is below it
+        (make_instance(gen_random_profile(8, seed=1), profiles.SocialRule.lsr(), "GB", "destructive",
+                       aminus=(0, 1), budget=2), "bribery_sliced"),
+        (make_instance(gen_random_profile(8, seed=1), profiles.SocialRule.csr(), "GB", "constructive",
+                       aplus=(0,), budget=1), "bribery_brute"),
     ]
     for instance, want in expectations:
         _got, name = solve_auto(instance)
         assert name == want, want
-    # past the sliced solver's cap partition control goes to the oracle
+    # past the sliced solvers' cap partition control and bribery go to the oracles
     big = make_instance(gen_random_profile(17, seed=3), consent(2, 2), "GCPI", "destructive",
                         aminus=(0,))
     assert auto_solver(big)[0] == "control_brute"
     with pytest.raises(PreconditionViolated, match="at most 16 individuals"):
         solve_gcpi_sliced(big)
+    big = make_instance(gen_random_profile(17, seed=3), profiles.SocialRule.csr(), "GB", "constructive",
+                        aplus=(0,), budget=4)
+    assert solve_bribery_sliced.pays(big)
+    assert auto_solver(big)[0] == "bribery_brute"
+    with pytest.raises(PreconditionViolated, match="at most 16 individuals"):
+        solve_bribery_sliced(big)
 
 
 def _outcome(solve, instance, search):
@@ -1064,24 +1078,42 @@ def test_gcpi_sliced_matches_control_brute():
     assert wide == 4
 
 
-def test_first_partition_ranks_as_the_candidate_order():
-    # the first accepted left part and its count, as a walk over
-    # oracle._partition_candidates finds them: every non-empty accepted set
-    # up to n = 4, then seeded ones up to n = 10
-    def walk(accepted, n):
-        return next((count, u) for count, u in enumerate(_partition_candidates(n), 1) if accepted >> u & 1)
+def test_first_accepted_ranks_as_the_candidate_order():
+    # the first accepted position and its count, as a walk over an oracle's
+    # candidates finds them, or the candidate count when none is accepted:
+    # oracle._partition_candidates, every position holding individual 0
+    # feasible, and oracle._subsets with the sets over budget skipped, as
+    # bribery_brute skips them; every accepted mask up to n = 3 (and every
+    # non-empty one over the partitions at n = 4), then seeded ones up to
+    # n = 10
+    def walk(accepted, candidates):
+        count = 0
+        for count, u in enumerate(candidates, 1):
+            if accepted >> u & 1:
+                return count, u
+        return count, None
 
     rng = random.Random(1920)
     for n in range(11):
-        candidates = list(_partition_candidates(n))
-        if n <= 4:
-            picks = [[u for i, u in enumerate(candidates) if pick >> i & 1]
-                     for pick in range(1, 1 << len(candidates))]
-        else:
-            picks = [rng.sample(candidates, rng.choice((1, 2, 5, len(candidates) // 4))) for _ in range(200)]
-        for pick in picks:
-            accepted = profiles.mask_of(pick)
-            assert _first_partition(accepted, n) == walk(accepted, n), (n, pick)
+        every, xs = profiles.slice_basis(n)
+        orders = [(list(_partition_candidates(n)), xs[0] if n else every, xs[1:])]
+        for _ in range(3 if n <= 8 else 1):
+            prices = [rng.randint(1, 3) if rng.random() < 0.5 else 1 for _ in range(n)]
+            budget = rng.randint(0, n + 1)
+            sets = [profiles.mask_of(members) for members in _subsets(range(n), min(budget, n))
+                    if sum(prices[a] for a in members) <= budget]
+            orders.append((sets, profiles.mask_of(sets), xs))
+        for candidates, feasible, order in orders:
+            if n <= 3:
+                picks = range(1 << (1 << n))
+            elif n == 4 and order is not xs:
+                picks = range(1, 1 << len(candidates))
+                picks = (profiles.mask_of(u for i, u in enumerate(candidates) if pick >> i & 1) for pick in picks)
+            else:
+                picks = [profiles.mask_of(rng.sample(range(1 << n), rng.choice((1, 2, 5, 1 << (n - 2)))))
+                         for _ in range(200)]
+            for accepted in picks:
+                assert _first_accepted(accepted, feasible, order) == walk(accepted, candidates), (n, accepted)
 
 
 def test_gcpi_sliced_ranks_a_deep_witness_at_n16():
@@ -1106,6 +1138,83 @@ def test_gcpi_sliced_ranks_a_deep_witness_at_n16():
     for limit in (rank, rank - 1):
         search = SearchBudget(node_limit=limit)
         assert _outcome(solve_control_brute, instance, search) == _outcome(solve_gcpi_sliced.run, instance, search)
+
+
+def _gb_target_shapes(n):
+    """Per objective, every (aplus, aminus) pair a GB instance at n can take."""
+    sets = [frozenset(members) for members in _subsets(range(n), n)]
+    return {
+        "constructive": [(a, ()) for a in sets if a],
+        "destructive": [((), a) for a in sets if a],
+        "general": [(a, b) for a in sets for b in sets if a and b and not a & b],
+        "exact": [(a, frozenset(range(n)) - a) for a in sets],
+    }
+
+
+def _assert_bribery_sliced_matches(instance):
+    """Same answer, witness and refusal as bribery_brute under every node
+    limit; returns the answer without a limit."""
+    for limit in (0, 1, 3, 10, 40, None):
+        search = SearchBudget(node_limit=limit)
+        got = _outcome(solve_bribery_sliced.run, instance, search)
+        assert got == _outcome(solve_bribery_brute, instance, search), (instance, limit)
+    return got[0]
+
+
+def test_bribery_sliced_matches_bribery_brute_exhaustively():
+    # every binary profile up to n = 3 under csr and lsr and every
+    # objective; up to n = 2 every target shape, budget 0-3 and pricing,
+    # at n = 3 one of them per (profile, rule, objective), cycling
+    rules = (profiles.SocialRule.csr(), profiles.SocialRule.lsr())
+    searched = yes = 0
+    for n in range(1, 4):
+        shapes = _gb_target_shapes(n)
+        turn = 0
+        for rows in itertools.product(range(1 << n), repeat=n):
+            p = profiles.Profile(n=n, kind="binary", names=profiles.default_names(n), row_pos=rows,
+                                 row_known=((1 << n) - 1,) * n)
+            for rule in rules:
+                for objective, targets in shapes.items():
+                    cases = list(itertools.product(targets, range(4), (None, {a: 1 + a % 3 for a in range(n)})))
+                    for (aplus, aminus), budget, prices in cases if n < 3 else [cases[turn % len(cases)]]:
+                        instance = make_instance(p, rule, "GB", objective, aplus, aminus, budget=budget,
+                                                 agent_prices=prices)
+                        if preflight(instance) is not None:
+                            continue
+                        searched += 1
+                        yes += _assert_bribery_sliced_matches(instance) == "YES"
+                    turn += 1
+    assert (searched, yes) == (4993, 2628)
+
+
+def test_bribery_sliced_matches_bribery_brute_on_seeded_instances():
+    rng = random.Random(2400)
+    rules = (profiles.SocialRule.csr(), profiles.SocialRule.lsr())
+    searched = yes = 0
+    for n in range(4, 9):
+        for rule in rules:
+            for objective in OBJECTIVES:
+                for _ in range(6):
+                    instance = random_instance(rng, "GB", objective, rule, n)
+                    if preflight(instance) is None:
+                        searched += 1
+                        yes += _assert_bribery_sliced_matches(instance) == "YES"
+    assert searched > 100 and 0 < yes < searched, (searched, yes)
+    # wider slices: 2^12 positions, without a node limit
+    answers = []
+    for rule in rules:
+        for objective in OBJECTIVES:
+            picked = rng.sample(range(12), 12 if objective == "exact" else 2)
+            aplus = picked[:1] if objective == "general" else picked[:6] if objective == "exact" else picked
+            aplus, aminus = ((), aplus) if objective == "destructive" else (aplus, picked[len(aplus):])
+            prices = {a: rng.randint(1, 2) for a in range(12)} if rng.random() < 0.5 else None
+            instance = make_instance(gen_random_profile(12, seed=rng.randrange(1 << 30)), rule, "GB", objective,
+                                     aplus, aminus, budget=3, agent_prices=prices)
+            if preflight(instance) is None:
+                got = _outcome(solve_bribery_sliced.run, instance, oracle.DEFAULT_SEARCH)
+                assert got == _outcome(solve_bribery_brute, instance, oracle.DEFAULT_SEARCH), instance
+                answers.append(got[0])
+    assert len(answers) > 4 and {"YES", "NO"} <= set(answers), answers
 
 
 def test_auto_dispatch_r1_specialization():
@@ -1138,7 +1247,7 @@ def test_preflight_runs_once_per_solve(monkeypatch):
         (make_instance(p, consent(2, 3), "GCDI", "constructive",
                        aplus=(4,), budget=2), "fpt_ilp"),
         (make_instance(p, profiles.SocialRule.csr(), "GB", "constructive",
-                       aplus=(0,), budget=2), "bribery_brute"),
+                       aplus=(0,), budget=2), "bribery_sliced"),
     ]
     for instance, want in expectations:
         calls.clear()
