@@ -17,7 +17,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import and_
+from operator import and_, or_
 
 from . import profiles
 from .errors import InstanceTooLarge, PreconditionViolated
@@ -582,8 +582,7 @@ def _gcpi_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
     # subset is f(U) with the positions reversed
     union = [lw | _mirrored(lw, n) for lw in left]
     final = profiles.eval_sliced(rule, union, p, profiles.bits(plus | minus))
-    pinned = xs[0] if n else every
-    accepted = pinned
+    accepted = pinned = xs[0] if n else every
     for a in profiles.bits(plus):
         accepted &= final[a]
     for a in profiles.bits(minus):
@@ -599,19 +598,18 @@ def _gcpi_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
 
 
 def _bribery_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
-    """csr/lsr bribery by judging every bribed set at once, bit-sliced.
+    """csr/lsr bribery by judging every bribed set B at once, B = u at bit
+    position u (profiles.slice_basis).
 
-    Each bribed set B is one bit position u (profiles.slice_basis).  The
-    oracle's rewrite is canonical (oracle._sequential_rewrite): every member
-    of B approves everyone outside the bad set, the destructive targets
-    closed backwards along the +1 rows of the unbribed.  Sliced, bad is the
-    least fixed point of bad[z] = minus[z] | (~X[z] & OR of bad[w] over z's
-    +1 row), and b approves a at u iff (X[b] & ~bad[a]) | (~X[b] & b's row
-    bit), so one sequential evaluation of N on those approvals judges every
-    B.  A dynamic program over the agents' prices gives the positions
-    bribery_brute can afford; the first accepted one in its order is the
-    witness, found and ranked by _first_accepted, and the node limit is
-    charged as there.
+    The oracle's rewrite is canonical (oracle._sequential_rewrite): each
+    member of B approves all but the bad set, the destructive targets closed
+    backwards along the unbribed's +1 rows.  Sliced, bad is the least fixed
+    point of bad[z] = minus[z] | (~X[z] & OR of bad[w] over z's +1 row), b
+    approves a at u iff (X[b] & ~bad[a]) | (~X[b] & b's row bit), and one
+    csr/lsr evaluation of N on those approvals judges every B.  A dynamic
+    program over agent prices gives the sets bribery_brute can afford; the
+    first accepted one in its order, ranked by _first_accepted, is the
+    witness, and the node limit is charged as there.
     """
     p = instance.profile
     n = p.n
@@ -650,10 +648,7 @@ def _bribery_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
             spent[cost] = positions & off
             if cost + price <= budget:
                 spent[cost + price] = spent.get(cost + price, 0) | (positions & x)
-    feasible = 0
-    for positions in spent.values():
-        feasible |= positions
-    examined, witness = _first_accepted(accepted, feasible, xs)
+    examined, witness = _first_accepted(accepted, reduce(or_, spent.values()), xs)
     if search.node_limit is not None and examined > search.node_limit:
         raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
     if witness is None:
@@ -691,7 +686,11 @@ class SolverSpec:
     pays: Callable[[AttackInstance], bool] = lambda instance: True
 
     def refusal(self, instance: AttackInstance) -> str | None:
-        return next((message for holds, message in self.requires if not holds(instance)), None)
+        # a plain loop: dispatch asks every spec in turn on each solve
+        for holds, message in self.requires:
+            if not holds(instance):
+                return message
+        return None
 
     def __call__(self, instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH) -> Verdict:
         refusal = self.refusal(instance)
