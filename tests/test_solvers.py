@@ -1107,8 +1107,8 @@ def test_first_accepted_ranks_as_the_candidate_order():
             if n <= 3:
                 picks = range(1 << (1 << n))
             elif n == 4 and order is not xs:
-                picks = range(1, 1 << len(candidates))
-                picks = (profiles.mask_of(u for i, u in enumerate(candidates) if pick >> i & 1) for pick in picks)
+                picks = (profiles.mask_of(u for i, u in enumerate(candidates) if pick >> i & 1)
+                         for pick in range(1, 1 << len(candidates)))
             else:
                 picks = [profiles.mask_of(rng.sample(range(1 << n), rng.choice((1, 2, 5, 1 << (n - 2)))))
                          for _ in range(200)]
