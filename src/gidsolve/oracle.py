@@ -12,10 +12,12 @@ and decides each with the judgement core check_witness also uses
 that one witness is passed through check_witness before it is returned.
 The only cleverness allowed is cutting provably irrelevant degrees of
 freedom (canonical bribery rewrites for column-local rules, a fixed pivot
-for the symmetric partition question).  The sliced solvers judge these
+for the symmetric partition question).  Both bribery oracles take their
+bribed or flipped sets from _affordable.  The sliced solvers judge these
 same candidates all at once and return the first witness and the node
 count of an oracle: gcpi_sliced control_brute's, bribery_sliced
-bribery_brute's under csr and lsr.
+bribery_brute's and microbribery_sliced microbribery_brute's under csr
+and lsr.
 """
 
 from __future__ import annotations
@@ -58,6 +60,25 @@ DEFAULT_SEARCH = SearchBudget()
 def _subsets(domain, cap: int):
     """Subsets of domain with at most cap members, in size-then-lexicographic order."""
     return itertools.chain.from_iterable(itertools.combinations(domain, size) for size in range(cap + 1))
+
+
+def _affordable(prices, budget: int):
+    """The index sets of _subsets(range(len(prices)), min(budget, len(prices)))
+    whose price total is at most budget, in that order, for any int prices
+    (the oracles skip validate).  Size s drops each item whose price plus s - 1
+    smallest prices passes the budget, and sums no set once s largest fit."""
+    if budget < 0:
+        return
+    yield ()
+    cheapest = min(prices, default=0)
+    for size in range(1, min(budget, len(prices)) + 1):
+        floor = (size - 1) * cheapest
+        items = [i for i, price in enumerate(prices) if price + floor <= budget]
+        sets = itertools.combinations(items, size)
+        if size * max([prices[i] for i in items], default=0) <= budget:
+            yield from sets
+        else:
+            yield from (c for c in sets if sum(prices[i] for i in c) <= budget)
 
 
 def _partition_candidates(n: int):
@@ -217,9 +238,7 @@ def solve_bribery_brute(instance: AttackInstance, search: SearchBudget = DEFAULT
     sequential = not instance.rule.column_local
 
     def candidates():
-        for members in _subsets(range(n), min(instance.budget, n)):
-            if instance.cost_of_agents(members) > instance.budget:
-                continue
+        for members in _affordable([instance.agent_price(a) for a in range(n)], instance.budget):
             if sequential and members:
                 yield _sequential_rewrite(instance, members)
             else:
@@ -252,9 +271,8 @@ def solve_microbribery_brute(instance: AttackInstance, search: SearchBudget = DE
     flips_of = {(a, b): [(a, b, v) for v in (1, -1) if v != p.entry(a, b)] for a, b in domain}
     candidates = (
         _flipped_rows(p, flips)
-        for pairs in _subsets(domain, min(instance.budget, len(domain)))
-        if instance.cost_of_pairs(pairs) <= instance.budget
-        for flips in itertools.product(*[flips_of[pair] for pair in pairs])
+        for chosen in _affordable([instance.pair_price(a, b) for a, b in domain], instance.budget)
+        for flips in itertools.product(*[flips_of[domain[j]] for j in chosen])
     )
     return _first_witness(instance, candidates, search)
 

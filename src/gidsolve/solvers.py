@@ -13,6 +13,7 @@ consent duality is what makes the destructive sign correct.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -37,7 +38,9 @@ from .instances import (
 from .oracle import (
     DEFAULT_SEARCH,
     SearchBudget,
+    _affordable,
     _first_witness,
+    _pair_domain,
     _subsets,
     _verified_yes,
     solve_bribery_brute,
@@ -505,7 +508,9 @@ def _fpt_ilp(instance: AttackInstance, search: SearchBudget) -> Verdict:
     return _verified_yes(instance, witness)
 
 
-SLICED_N_CAP = 16  # most individuals gcpi_sliced and bribery_sliced take: a sliced mask holds 2^n positions
+# at most 2^16 positions in all three sliced routes: subsets of at most 16 individuals, or
+# size-feasible flip sets; microbribery_sliced also takes at most 16, as it keeps n^2 pair masks
+SLICED_N_CAP = 16
 _BYTE_MIRROR = bytes(int(format(i, "08b")[::-1], 2) for i in range(256))
 
 
@@ -597,6 +602,24 @@ def _gcpi_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
     return _verified_yes(instance, Solution.partition(profiles.bits(witness)))
 
 
+def _sequential_accepted(instance: AttackInstance, approvals, every: int) -> int:
+    """The positions where the csr/lsr result of N meets the objective, on
+    sliced approvals: approvals[b][a] holds the positions where b approves a."""
+    if instance.rule.variant == "csr":
+        # N at every position: a starts where everyone approves a
+        start = [reduce(and_, column) for column in zip(*approvals)]
+    else:
+        start = [row[a] for a, row in enumerate(approvals)]
+    final = profiles._sliced_closure(start, [list(enumerate(row)) for row in approvals])
+    plus, minus = instance._target_masks
+    accepted = every
+    for a in profiles.bits(plus):
+        accepted &= final[a]
+    for a in profiles.bits(minus):
+        accepted &= ~final[a]
+    return accepted
+
+
 def _bribery_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
     """csr/lsr bribery by judging every bribed set B at once, B = u at bit
     position u (profiles.slice_basis).
@@ -615,7 +638,7 @@ def _bribery_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
     n = p.n
     budget = instance.budget
     every, xs = profiles.slice_basis(n)
-    plus, minus = instance._target_masks
+    minus = instance._target_masks[1]
     unbribed = [every ^ x for x in xs]
     bad = [every if minus >> z & 1 else 0 for z in range(n)]
     if minus:
@@ -625,17 +648,7 @@ def _bribery_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
     good = [every ^ positions for positions in bad]
     approvals = [[(x & ok) | (off if row >> a & 1 else 0) for a, ok in enumerate(good)]
                  for x, off, row in zip(xs, unbribed, p.row_pos)]
-    if instance.rule.variant == "csr":
-        # N at every position: a starts where everyone approves a
-        start = [reduce(and_, column) for column in zip(*approvals)]
-    else:
-        start = [row[a] for a, row in enumerate(approvals)]
-    final = profiles._sliced_closure(start, [list(enumerate(row)) for row in approvals])
-    accepted = every
-    for a in profiles.bits(plus):
-        accepted &= final[a]
-    for a in profiles.bits(minus):
-        accepted &= ~final[a]
+    accepted = _sequential_accepted(instance, approvals, every)
     # spent[c]: the positions whose bribed set costs c, over the agents seen;
     # prices are at least 1, so no affordable set outgrows the budget
     spent = {0: every}
@@ -655,6 +668,46 @@ def _bribery_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
         return NO_VERDICT
     row = tuple(-1 if positions >> witness & 1 else 1 for positions in bad)
     return _verified_yes(instance, Solution.bribed(dict.fromkeys(profiles.bits(witness), row)))
+
+
+def _microbribery_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
+    """csr/lsr microbribery by judging every affordable flip set at once.
+
+    On a binary profile each pair has one flip, so microbribery_brute judges
+    one candidate per set oracle._affordable yields over the pairs' prices;
+    bit position u stands for the u-th.  held[j] holds the positions whose
+    set flips pair j; b approves a exactly there if entry (b, a) is -1, and
+    everywhere else otherwise.  The positions run in the oracle's order, so
+    the lowest accepted one is its first witness and is charged as there.
+    """
+    p = instance.profile
+    n = p.n
+    domain = _pair_domain(instance)
+    prices = [instance.pair_price(a, b) for a, b in domain]
+    held = [0] * len(domain)
+    width = 0
+    for width, chosen in enumerate(_affordable(prices, instance.budget), 1):
+        for j in chosen:
+            held[j] |= 1 << width - 1
+    every = (1 << width) - 1
+    # the pairs run row by row: entry (b, a) is pair b * n + a
+    approvals = [[every ^ held[b * n + a] if row >> a & 1 else held[b * n + a] for a in range(n)]
+                 for b, row in enumerate(p.row_pos)]
+    accepted = _sequential_accepted(instance, approvals, every)
+    witness = (accepted & -accepted).bit_length() - 1
+    examined = witness + 1 if accepted else width
+    if search.node_limit is not None and examined > search.node_limit:
+        raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
+    if not accepted:
+        return NO_VERDICT
+    chosen = next(itertools.islice(_affordable(prices, instance.budget), witness, None))
+    return _verified_yes(instance, Solution.flipped({domain[j]: -p.entry(*domain[j]) for j in chosen}))
+
+
+def _flip_sets(instance: AttackInstance) -> int:
+    """The size-feasible flip sets of a GMB instance: sets of at most budget of its n^2 pairs."""
+    pairs = instance.profile.n ** 2
+    return sum(math.comb(pairs, size) for size in range(min(instance.budget or 0, pairs) + 1))
 
 
 def _bribery_sliced_pays(instance: AttackInstance) -> bool:
@@ -754,9 +807,18 @@ SOLVERS = (
         (lambda i: i.profile.n <= SLICED_N_CAP,
          "this algorithm handles at most %d individuals" % SLICED_N_CAP),
     ), _bribery_sliced, _bribery_sliced_pays),
+    SolverSpec("microbribery_sliced", (
+        (lambda i: i.family == "GMB" and not i.rule.column_local,
+         "this algorithm handles GMB under csr and lsr only"),
+        (lambda i: i.profile.n <= SLICED_N_CAP,
+         "this algorithm handles at most %d individuals" % SLICED_N_CAP),
+        (lambda i: _flip_sets(i) <= 1 << SLICED_N_CAP,
+         "this algorithm handles at most 2^%d flip sets" % SLICED_N_CAP),
+    # a measured crossover: past budget 3 the oracle's early witnesses won
+    ), _microbribery_sliced, lambda i: i.budget <= 3),
 )
-(solve_cgb_xp, solve_dgb_xp, solve_gcdi_22, solve_cgcai_r1,
- solve_microbribery_consent, solve_fpt_ilp, solve_gcpi_sliced, solve_bribery_sliced) = SOLVERS
+(solve_cgb_xp, solve_dgb_xp, solve_gcdi_22, solve_cgcai_r1, solve_microbribery_consent,
+ solve_fpt_ilp, solve_gcpi_sliced, solve_bribery_sliced, solve_microbribery_sliced) = SOLVERS
 
 # The oracles skip preflight, also when called by name.
 ORACLES = {

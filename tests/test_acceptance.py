@@ -52,6 +52,7 @@ from gidsolve.solvers import (
     solve_gcdi_22,
     solve_gcpi_sliced,
     solve_microbribery_consent,
+    solve_microbribery_sliced,
 )
 
 from helpers import ex1
@@ -500,6 +501,17 @@ def _i_gb_sequential(rng):
                          budget=rng.randint(0, 3), agent_prices=prices)
 
 
+def _i_gmb_sequential(rng):
+    n = rng.randint(2, 5)
+    p = _draw_profile(rng, n)
+    rule = rng.choice((SocialRule.csr(), SocialRule.lsr()))
+    objective = rng.choice(("constructive", "destructive", "general", "exact"))
+    aplus, aminus = _draw_targets(rng, n, objective)
+    prices = {(b, a): rng.randint(1, 3) for b in range(n) for a in range(n)} if rng.random() < 0.5 else None
+    return make_instance(p, rule, "GMB", objective, aplus=aplus, aminus=aminus,
+                         budget=rng.randint(0, 3), pair_prices=prices)
+
+
 _ORACLE_SWEEPS = (
     ("cgb_xp", _i_cgb, solve_cgb_xp, solve_bribery_brute, 41),
     ("dgb_xp", _i_dgb, solve_dgb_xp, solve_bribery_brute, 42),
@@ -512,6 +524,7 @@ _ORACLE_SWEEPS = (
     ("fpt_ilp", _i_fpt, solve_fpt_ilp, solve_control_brute, 47),
     ("gcpi_sliced", _i_gcpi, solve_gcpi_sliced, solve_control_brute, 48),
     ("bribery_sliced", _i_gb_sequential, solve_bribery_sliced, solve_bribery_brute, 49),
+    ("microbribery_sliced", _i_gmb_sequential, solve_microbribery_sliced, solve_microbribery_brute, 50),
 )
 
 

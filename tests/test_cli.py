@@ -487,15 +487,15 @@ def test_xval_runs_the_oracle_once(capsys, monkeypatch):
     # when solve_auto answered through the family's oracle, xval reuses that
     # verdict and its time instead of searching again
     calls = []
-    oracle = solvers.ORACLES["microbribery_brute"]
-    monkeypatch.setitem(solvers.ORACLES, "microbribery_brute",
+    oracle = solvers.ORACLES["control_brute"]
+    monkeypatch.setitem(solvers.ORACLES, "control_brute",
                         lambda instance, search: calls.append(instance) or oracle(instance, search))
-    code, out, _ = run(capsys, ["xval", "--family", "GMB", "--objective", "general", "--rule", "csr",
+    code, out, _ = run(capsys, ["xval", "--family", "GCDI", "--objective", "general", "--rule", "csr",
                                 "--n", "3", "--count", "12", "--seed", "5"])
     pairs = dict(report_pairs(out))
     assert code == 0 and pairs["agreement"] == "true"
     agree, auto_ms, brute_ms = re.fullmatch(r"agree (\d+)/\1 auto_ms (\S+) brute_ms (\S+)",
-                                            pairs["xval:microbribery_brute"]).groups()
+                                            pairs["xval:control_brute"]).groups()
     assert len(calls) == int(agree) > 0
     assert auto_ms == brute_ms
 

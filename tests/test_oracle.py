@@ -224,6 +224,21 @@ def full_microbribery_answer(inst):
     return "NO"
 
 
+def test_affordable_equals_filtered_subsets():
+    # the old candidate filter: _subsets capped at the budget, then the price
+    # total; prices below 1 included, since the oracles skip validate
+    def filtered(prices, budget):
+        return [c for c in oracle._subsets(range(len(prices)), min(budget, len(prices)))
+                if sum(prices[i] for i in c) <= budget]
+
+    assignments = [list(prices) for size in range(5) for prices in itertools.product(range(-1, 4), repeat=size)]
+    rng = random.Random(2501)
+    assignments += [[rng.randint(-1, 3) for _ in range(rng.randint(5, 8))] for _ in range(200)]
+    for prices in assignments:
+        for budget in range(-1, 6):
+            assert list(oracle._affordable(prices, budget)) == filtered(prices, budget), (prices, budget)
+
+
 def test_microbribery_matches_full_entry_enumeration():
     for seed in range(14):
         n = 3

@@ -58,6 +58,7 @@ from gidsolve.solvers import (
     solve_gcpi_sliced,
     solve_ilp_model,
     solve_microbribery_consent,
+    solve_microbribery_sliced,
 )
 
 from helpers import ex1, valid_rules
@@ -1003,7 +1004,12 @@ def test_auto_dispatch_names():
         (make_instance(p, consent(2, 1), "GMB", "constructive",
                        aplus=(4,), budget=1), "microbribery_consent"),
         (make_instance(p, profiles.SocialRule.csr(), "GMB", "constructive",
-                       aplus=(0,), budget=3), "microbribery_brute"),
+                       aplus=(0,), budget=3), "microbribery_sliced"),
+        (make_instance(p, profiles.SocialRule.lsr(), "GMB", "destructive",
+                       aminus=(0, 2), budget=1), "microbribery_sliced"),
+        # budget 4 is past the crossover of microbribery_sliced
+        (make_instance(p, profiles.SocialRule.csr(), "GMB", "constructive",
+                       aplus=(0,), budget=4), "microbribery_brute"),
         (make_instance(p, profiles.SocialRule.csr(), "GB", "constructive",
                        aplus=(0,), budget=2), "bribery_sliced"),
         (make_instance(p, consent(2, 2), "GCPI", "destructive",
@@ -1030,6 +1036,18 @@ def test_auto_dispatch_names():
     assert auto_solver(big)[0] == "bribery_brute"
     with pytest.raises(PreconditionViolated, match="at most 16 individuals"):
         solve_bribery_sliced(big)
+    # microbribery: past 2^16 size-feasible flip sets (n = 16, budget 3: about
+    # 2.8 million) and past 16 individuals
+    big = make_instance(gen_random_profile(16, seed=3), profiles.SocialRule.csr(), "GMB", "constructive",
+                        aplus=(0,), budget=3)
+    assert auto_solver(big)[0] == "microbribery_brute"
+    with pytest.raises(PreconditionViolated, match=r"at most 2\^16 flip sets"):
+        solve_microbribery_sliced(big)
+    big = make_instance(gen_random_profile(17, seed=3), profiles.SocialRule.lsr(), "GMB", "destructive",
+                        aminus=(0,), budget=1)
+    assert auto_solver(big)[0] == "microbribery_brute"
+    with pytest.raises(PreconditionViolated, match="at most 16 individuals"):
+        solve_microbribery_sliced(big)
 
 
 def _outcome(solve, instance, search):
@@ -1151,13 +1169,13 @@ def _gb_target_shapes(n):
     }
 
 
-def _assert_bribery_sliced_matches(instance):
-    """Same answer, witness and refusal as bribery_brute under every node
+def _assert_sliced_matches(instance, sliced=solve_bribery_sliced, brute=solve_bribery_brute):
+    """Same answer, witness and refusal as the oracle under every node
     limit; returns the answer without a limit."""
     for limit in (0, 1, 3, 10, 40, None):
         search = SearchBudget(node_limit=limit)
-        got = _outcome(solve_bribery_sliced.run, instance, search)
-        assert got == _outcome(solve_bribery_brute, instance, search), (instance, limit)
+        got = _outcome(sliced.run, instance, search)
+        assert got == _outcome(brute, instance, search), (instance, limit)
     return got[0]
 
 
@@ -1182,7 +1200,7 @@ def test_bribery_sliced_matches_bribery_brute_exhaustively():
                         if preflight(instance) is not None:
                             continue
                         searched += 1
-                        yes += _assert_bribery_sliced_matches(instance) == "YES"
+                        yes += _assert_sliced_matches(instance) == "YES"
                     turn += 1
     assert (searched, yes) == (4993, 2628)
 
@@ -1198,7 +1216,7 @@ def test_bribery_sliced_matches_bribery_brute_on_seeded_instances():
                     instance = random_instance(rng, "GB", objective, rule, n)
                     if preflight(instance) is None:
                         searched += 1
-                        yes += _assert_bribery_sliced_matches(instance) == "YES"
+                        yes += _assert_sliced_matches(instance) == "YES"
     assert searched > 100 and 0 < yes < searched, (searched, yes)
     # wider slices: 2^12 positions, without a node limit
     answers = []
@@ -1215,6 +1233,57 @@ def test_bribery_sliced_matches_bribery_brute_on_seeded_instances():
                 assert got == _outcome(solve_bribery_brute, instance, oracle.DEFAULT_SEARCH), instance
                 answers.append(got[0])
     assert len(answers) > 4 and {"YES", "NO"} <= set(answers), answers
+
+
+def test_microbribery_sliced_matches_microbribery_brute_exhaustively():
+    # every binary profile up to n = 2 under csr and lsr, every target
+    # shape of every objective, budgets 0-3, unpriced and priced
+    rules = (profiles.SocialRule.csr(), profiles.SocialRule.lsr())
+    searched = yes = 0
+    for n in (1, 2):
+        pricings = (None, {(a, b): 1 + (a + 2 * b) % 3 for a in range(n) for b in range(n)})
+        for rows in itertools.product(range(1 << n), repeat=n):
+            p = profiles.Profile(n=n, kind="binary", names=profiles.default_names(n), row_pos=rows,
+                                 row_known=((1 << n) - 1,) * n)
+            for rule in rules:
+                for objective, targets in _gb_target_shapes(n).items():
+                    for (aplus, aminus), budget, prices in itertools.product(targets, range(4), pricings):
+                        instance = make_instance(p, rule, "GMB", objective, aplus, aminus, budget=budget,
+                                                 pair_prices=prices)
+                        if preflight(instance) is not None:
+                            continue
+                        searched += 1
+                        answer = _assert_sliced_matches(instance, solve_microbribery_sliced, solve_microbribery_brute)
+                        yes += answer == "YES"
+    assert (searched, yes) == (2112, 1172)
+
+
+def test_microbribery_sliced_matches_microbribery_brute_on_seeded_instances():
+    rng = random.Random(2500)
+    rules = (profiles.SocialRule.csr(), profiles.SocialRule.lsr())
+    searched = yes = 0
+    for n in range(3, 7):
+        for rule in rules:
+            for objective in OBJECTIVES:
+                for _ in range(5):
+                    drawn = random_instance(rng, "GMB", objective, rule, n)
+                    prices = {(a, b): rng.randint(1, 3) for a in range(n) for b in range(n)} \
+                        if rng.random() < 0.5 else None
+                    # budgets past 3 at n = 6 make millions of flip sets
+                    instance = make_instance(drawn.profile, rule, "GMB", objective, drawn.aplus, drawn.aminus,
+                                             budget=rng.randint(0, 3 if n < 6 else 2), pair_prices=prices)
+                    if preflight(instance) is None:
+                        searched += 1
+                        answer = _assert_sliced_matches(instance, solve_microbribery_sliced, solve_microbribery_brute)
+                        yes += answer == "YES"
+    assert searched > 100 and 0 < yes < searched, (searched, yes)
+    # 2,081 flip sets at n = 8, budget 2, without a node limit
+    instance = make_instance(gen_random_profile(8, seed=16), profiles.SocialRule.lsr(), "GMB", "general",
+                             aplus=(0,), aminus=(1,), budget=2)
+    assert preflight(instance) is None
+    got = _outcome(solve_microbribery_sliced.run, instance, oracle.DEFAULT_SEARCH)
+    assert got == _outcome(solve_microbribery_brute, instance, oracle.DEFAULT_SEARCH)
+    assert got == ("YES", Solution.flipped({(5, 1): -1, (7, 1): -1}))
 
 
 def test_auto_dispatch_r1_specialization():
