@@ -242,9 +242,11 @@ def _judge(instance: AttackInstance):
     """The judgement core: judge(population, profile) -> bool for this instance.
 
     check_witness and the oracles' search loop (oracle._first_witness) both
-    decide through it.  Building the judge runs the one applicability check;
-    every profile judged is the instance's or one derived from it with the
-    same n and kind, so that check covers every evaluation eval_mask makes.
+    decide through it, except that the loop judges column-local bribery
+    candidates on the target columns (oracle._target_column_judge).
+    Building the judge runs the one applicability check; every profile
+    judged is the instance's or one derived from it with the same n and
+    kind, so that check covers every evaluation eval_mask makes.
     For a partition the population is the left part U, and the winners of
     both parts, f(U) | f(N - U), go to a final round; both part rounds are
     evaluated in full, since every winner enters the final round.  The

@@ -4,12 +4,16 @@ is validated against.
 Deliberately the dumbest correct thing: enumerate candidate witnesses in
 size-then-lexicographic order and judge each one.  Each oracle (and the
 cgb_xp/dgb_xp search) only generates its candidates, as masks: the
-population for adding and deleting, the left part U for a partition, and
-the replaced rows' (pos, known) masks for bribery and microbribery.
+population for adding and deleting, the left part U for a partition, the
+replaced rows' (pos, known) masks for microbribery and csr/lsr bribery,
+and for column-local bribery (bribed, template, diag_pos, diag_known):
+every bribed member gets the template row except on its own diagonal.
 _first_witness is the one loop that counts them as nodes against the limit
-and decides each with the judgement core check_witness also uses
-(instances._judge); only the accepted candidate becomes a Solution, and
-that one witness is passed through check_witness before it is returned.
+and decides each, with the judgement core check_witness also uses
+(instances._judge), or for column-local bribery with _target_column_judge,
+which reads the target columns alone; only the accepted candidate becomes
+a Solution, and that one witness is passed through check_witness before it
+is returned.
 The only cleverness allowed is cutting provably irrelevant degrees of
 freedom (canonical bribery rewrites for column-local rules, a fixed pivot
 for the symmetric partition question).  Both bribery oracles take their
@@ -44,9 +48,8 @@ from .instances import (
     _judge,
     check_witness,
     control_domain,
-    effective_targets,
 )
-from .profiles import Profile, SocialRule, bits, full_mask, mask_of
+from .profiles import Profile, SocialRule, bits, ensure_applicable, full_mask, mask_of, row_cells
 
 
 @dataclass(frozen=True)
@@ -96,24 +99,78 @@ def _first_witness(instance: AttackInstance, candidates, search: SearchBudget) -
     with its one applicability check, at the first candidate, so a search
     with no candidates raises nothing.  A population or partition mask is
     judged on the instance's profile, replaced rows on the profile
-    Profile._derive makes from them.  The first accepted candidate is
-    turned into its Solution, re-verified once by check_witness, and
-    returned; a rejected candidate never becomes a Solution.
+    Profile._derive makes from them, and a column-local bribery candidate
+    (bribed, template, diag_pos, diag_known) on the target columns alone
+    (_target_column_judge), so no profile is derived for it.  The first
+    accepted candidate is turned into its Solution, re-verified once by
+    check_witness, and returned; a rejected candidate never becomes a
+    Solution.
     """
-    kind = FAMILY_KIND[instance.family]
-    p = instance.profile
-    full = full_mask(p.n)
-    replaces_rows = kind in ("bribed", "flipped")
     judge = None
     for count, candidate in enumerate(candidates, 1):
         if search.node_limit is not None and count > search.node_limit:
             raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
         if judge is None:
-            judge = _judge(instance)
-        profile = p._derive(candidate) if replaces_rows else p
-        if judge(full if replaces_rows else candidate, profile):
-            return _verified_yes(instance, _solution_of(instance, kind, candidate, profile))
+            judge = _candidate_judge(instance)
+        if judge(candidate):
+            return _verified_yes(instance, _solution_of(instance, candidate))
     return NO_VERDICT
+
+
+def _candidate_judge(instance: AttackInstance):
+    """judge(candidate) -> bool for the candidates of this instance's family."""
+    kind = FAMILY_KIND[instance.family]
+    if kind == "bribed" and instance.rule.column_local:
+        return _target_column_judge(instance)
+    judge = _judge(instance)
+    p = instance.profile
+    if kind in ("bribed", "flipped"):
+        full = full_mask(p.n)
+        return lambda rows: judge(full, p._derive(rows))
+    return lambda population: judge(population, p)
+
+
+def _target_column_judge(instance: AttackInstance):
+    """judge(candidate) for column-local bribery, on the target columns only.
+
+    A candidate (bribed, template, diag_pos, diag_known) gives every bribed
+    member the template row, except on its own diagonal, whose bits are in
+    diag_pos and diag_known.  In target column a, a bribed voter other than
+    a casts the template's bit a, a's own cell is its diagonal pick when a
+    is bribed, and every other cell is the instance's.  Building the judge
+    runs _judge's applicability check: the bribed profile keeps n and kind.
+    The targets are judged in ascending order, with the three diagonal cases
+    of profiles._quota_mask counted over N, and the first target whose
+    status misses the objective rejects the candidate.
+    """
+    rule = instance.rule
+    p = instance.profile
+    ensure_applicable(rule, p)
+    plus, minus = instance._target_masks
+    col_pos, col_known = p._columns()
+    columns = [(1 << a, col_pos[a], col_known[a], bool(plus >> a & 1)) for a in bits(plus | minus)]
+    s = rule.s
+    t = rule.t
+
+    def judge(candidate) -> bool:
+        bribed, template, diag_pos, diag_known = candidate
+        diag_pos |= p.diag_pos & ~bribed
+        diag_known |= p.diag_known & ~bribed
+        for bit, cpos, cknown, wanted in columns:
+            others = bribed & ~bit
+            pos = (cpos & ~bribed) | (others if template & bit else 0) | (diag_pos & bit)
+            if diag_pos & bit:
+                qualified = pos.bit_count() >= s
+            elif diag_known & bit:
+                known = (cknown & ~bribed) | others | (diag_known & bit)
+                qualified = (known & ~pos).bit_count() < t
+            else:
+                qualified = pos.bit_count() >= rule.effective_s_prime(p.n)
+            if qualified is not wanted:
+                return False
+        return True
+
+    return judge
 
 
 def _verified_yes(instance: AttackInstance, witness: Solution) -> Verdict:
@@ -124,10 +181,11 @@ def _verified_yes(instance: AttackInstance, witness: Solution) -> Verdict:
     return Verdict("YES", witness=witness)
 
 
-def _solution_of(instance: AttackInstance, kind: str, candidate, profile: Profile) -> Solution:
+def _solution_of(instance: AttackInstance, candidate) -> Solution:
     """The public witness a mask candidate stands for: the members a
-    population or partition mask names, the bribed rows' cells as the
-    derived profile holds them, or the entries a microbribery changes."""
+    population or partition mask names, the bribed rows' cells, or the
+    entries a microbribery changes."""
+    kind = FAMILY_KIND[instance.family]
     p = instance.profile
     if kind == "added":
         return Solution.added(bits(candidate & ~mask_of(instance.pool)))
@@ -136,7 +194,13 @@ def _solution_of(instance: AttackInstance, kind: str, candidate, profile: Profil
     if kind == "partition":
         return Solution.partition(bits(candidate))
     if kind == "bribed":
-        return Solution.bribed({a: profile.row(a) for a in candidate})
+        if instance.rule.column_local:
+            # every bribed row is the template but for its own diagonal cell
+            bribed, template, diag_pos, diag_known = candidate
+            full = full_mask(p.n)
+            candidate = {a: ((template & ~(1 << a)) | (diag_pos & 1 << a), (full & ~(1 << a)) | (diag_known & 1 << a))
+                         for a in bits(bribed)}
+        return Solution.bribed({a: row_cells(pos, known, p.n) for a, (pos, known) in candidate.items()})
     # every flip changes its entry, so the flips are the cells whose sign or
     # known bit differs from the instance's profile
     return Solution.flipped({
@@ -190,8 +254,7 @@ def _closure_against(profile: Profile, bad: int, bribed: int) -> int:
 def _sequential_rewrite(instance: AttackInstance, members) -> dict:
     """Best possible rewrite for csr/lsr bribery of the given set, as row masks."""
     p = instance.profile
-    _plus, minus = effective_targets(instance)
-    bad = _closure_against(p, mask_of(minus), mask_of(members))
+    bad = _closure_against(p, instance._target_masks[1], mask_of(members))
     # every bribed member gets the same row: -1 exactly on the bad set
     full = full_mask(p.n)
     row = (full & ~bad, full)
@@ -199,33 +262,34 @@ def _sequential_rewrite(instance: AttackInstance, members) -> dict:
 
 
 def _column_local_rewrites(instance: AttackInstance, members):
-    """Candidate rewrites for consent/ternary bribery of the given set, as row masks.
+    """Candidate rewrites for consent/ternary bribery of the given set, as
+    (bribed, template, diag_pos, diag_known) masks.
 
     Non-target columns cannot affect the objective, so only the target
-    columns and each bribed target's own diagonal are degrees of freedom;
-    the diagonal is branched exhaustively (+1, -1, and star on a ternary
-    profile), and every other bribed diagonal is -1.
+    columns and each bribed target's own diagonal are degrees of freedom.
+    Every bribed row is the template, which approves exactly the
+    constructive targets, except on its own diagonal: a bribed target's is
+    branched exhaustively (+1, -1, and star on a ternary profile), every
+    other bribed diagonal is -1.
     """
-    p = instance.profile
-    targets_plus, targets_minus = effective_targets(instance)
-    branch_members = [a for a in members if a in targets_plus or a in targets_minus]
+    plus, minus = instance._target_masks
+    bribed = mask_of(members)
+    # each pick as its (pos, known) diagonal bits
     choices = []
-    for a in branch_members:
-        order = (1, -1) if a in targets_plus else (-1, 1)
-        if p.kind == "ternary":
-            order = order + (0,)
+    for a in bits(bribed & (plus | minus)):
+        bit = 1 << a
+        order = ((bit, bit), (0, bit)) if plus & bit else ((0, bit), (bit, bit))
+        if instance.profile.kind == "ternary":
+            order += ((0, 0),)
         choices.append(order)
-    full = full_mask(p.n)
-    # the template row approves exactly the constructive targets
-    template = mask_of(targets_plus)
+    fixed = bribed & ~(plus | minus)
     for picks in itertools.product(*choices):
-        diag = dict(zip(branch_members, picks))
-        rows = {}
-        for a in members:
-            bit = 1 << a
-            pick = diag.get(a, -1)
-            rows[a] = ((template & ~bit) | (bit if pick == 1 else 0), full & ~bit if pick == 0 else full)
-        yield rows
+        diag_pos = 0
+        diag_known = fixed
+        for pos, known in picks:
+            diag_pos |= pos
+            diag_known |= known
+        yield bribed, plus, diag_pos, diag_known
 
 
 def solve_bribery_brute(instance: AttackInstance, search: SearchBudget = DEFAULT_SEARCH) -> Verdict:
@@ -239,10 +303,10 @@ def solve_bribery_brute(instance: AttackInstance, search: SearchBudget = DEFAULT
 
     def candidates():
         for members in _affordable([instance.agent_price(a) for a in range(n)], instance.budget):
-            if sequential and members:
-                yield _sequential_rewrite(instance, members)
-            else:
+            if not sequential:
                 yield from _column_local_rewrites(instance, members)
+            else:
+                yield _sequential_rewrite(instance, members) if members else {}
 
     return _first_witness(instance, candidates(), search)
 

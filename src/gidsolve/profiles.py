@@ -13,7 +13,8 @@ format_profile writes the text from them.  Every derived profile is built
 from new row masks: negate, the canonical extensions and completion
 enumeration build whole profiles, and the bribed and flipped profiles that
 check_witness and the oracles judge come from Profile._derive, which
-replaces only the changed rows.
+replaces only the changed rows (column-local bribery candidates are judged
+on the instance's target columns, without a derived profile).
 
 The rows are the only eager state.  Profile.__post_init__ computes the
 diagonal views in one pass; the column views col_pos/col_known are built
@@ -70,6 +71,11 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def row_cells(pos: int, known: int, n: int) -> list[int]:
+    """The n cells of a row given as its (pos, known) masks."""
+    return [(PLUS if pos >> b & 1 else MINUS) if known >> b & 1 else UNKNOWN for b in range(n)]
 
 
 def _index_mask(indices, n: int, error=IndexOutOfRange) -> int:
@@ -206,16 +212,7 @@ class Profile:
 
     def row(self, a: int) -> list[int]:
         _index_mask((a,), self.n)
-        rp = self.row_pos[a]
-        rk = self.row_known[a]
-        out = []
-        for b in range(self.n):
-            bit = 1 << b
-            if not rk & bit:
-                out.append(UNKNOWN)
-            else:
-                out.append(PLUS if rp & bit else MINUS)
-        return out
+        return row_cells(self.row_pos[a], self.row_known[a], self.n)
 
     def rows(self) -> list[list[int]]:
         return [self.row(a) for a in range(self.n)]

@@ -215,8 +215,9 @@ def _gb_xp(instance: AttackInstance, search: SearchBudget, sign: int) -> Verdict
     argument by consent duality, f^(s,t)(N, phi) = N - f^(t,s)(N, -phi):
     disqualifying aminus under consent(1,t) is qualifying it under
     consent(t,1) in -phi, so self-qualifying targets are forced, the quota is
-    t and every row is all -1.  Each candidate is the bribed rows' masks,
-    judged on the given instance.
+    t and every row is all -1.  Each candidate is the bribery oracle's
+    (bribed, template, diag_pos, diag_known) masks, with the diagonal on
+    the template, judged on the given instance.
     """
     p = instance.profile
     targets, quota = (instance.aplus, instance.rule.s) if sign == 1 else (instance.aminus, instance.rule.t)
@@ -225,13 +226,13 @@ def _gb_xp(instance: AttackInstance, search: SearchBudget, sign: int) -> Verdict
     if remaining < 0:
         return NO_VERDICT
     pool = [b for b in range(p.n) if b not in forced]
-    full = profiles.full_mask(p.n)
-    row = (full if sign == 1 else 0, full)
-    candidates = (
-        dict.fromkeys(forced + list(extra), row)
+    template = profiles.full_mask(p.n) if sign == 1 else 0
+    bribed_sets = (
+        profiles.mask_of(forced + list(extra))
         for extra in _subsets(pool, min(quota, len(pool), remaining))
         if instance.cost_of_agents(extra) <= remaining
     )
+    candidates = ((bribed, template, bribed & template, bribed) for bribed in bribed_sets)
     return _first_witness(instance, candidates, search)
 
 
@@ -308,29 +309,33 @@ def _columnwise_flip_cost(instance: AttackInstance, a: int, qualify: bool):
     p = instance.profile
     rule = instance.rule
     diag = p.entry(a, a)
-    plus_rows = [b for b in profiles.bits(p.col_pos[a]) if b != a]
-    minus_rows = [b for b in profiles.bits(p.col_known[a] & ~p.col_pos[a]) if b != a]
-    star_rows = [b for b in profiles.bits(profiles.full_mask(p.n) & ~p.col_known[a]) if b != a]
+    others = profiles.full_mask(p.n) & ~(1 << a)
+    plus_rows = p.col_pos[a] & others
+    minus_rows = p.col_known[a] & ~p.col_pos[a] & others
+    star_rows = others & ~p.col_known[a]
 
     def price(b):
         return instance.pair_price(b, a)
 
-    def cheapest(rows, count):
-        if count > len(rows):
-            return None
-        return sorted(rows, key=lambda b: (price(b), b))[:count]
+    if instance.pair_prices:
+        # the column's rows by (price, index), sorted once for every branch
+        order = sorted(profiles.bits(others), key=lambda b: (price(b), b))
+
+        def in_order(rows):
+            return (b for b in order if rows >> b & 1)
+    else:
+        in_order = profiles.bits
 
     def branch(diag_value, need, candidates, new_value):
         # diag_value None means keep the current (star) diagonal
-        picked = cheapest(candidates, need)
-        if picked is None:
+        if need > candidates.bit_count():
             return None
         flips = {}
         cost = 0
         if diag_value is not None and diag != diag_value:
             flips[(a, a)] = diag_value
             cost += price(a)
-        for b in picked:
+        for b in itertools.islice(in_order(candidates), need):
             flips[(b, a)] = new_value
             cost += price(b)
         return cost, flips
@@ -343,17 +348,17 @@ def _columnwise_flip_cost(instance: AttackInstance, a: int, qualify: bool):
         sign, agree, against, own, other = -1, minus_rows, plus_rows, rule.t, rule.s
     options = [
         # diagonal on the wanted side: reach its own quota counting the diagonal
-        branch(sign, max(0, own - (len(agree) + 1)), against + star_rows, sign),
+        branch(sign, max(0, own - (agree.bit_count() + 1)), against | star_rows, sign),
         # diagonal on the other side, which is stuck: push the rest under its quota
-        branch(-sign, max(0, (len(against) + 1) - (other - 1)), against, sign),
+        branch(-sign, max(0, (against.bit_count() + 1) - (other - 1)), against, sign),
     ]
     if diag == 0:
         # star diagonal (ternary): s' approvals qualify
         s_prime = rule.effective_s_prime(p.n)
         if qualify:
-            options.append(branch(None, max(0, s_prime - len(plus_rows)), minus_rows + star_rows, 1))
+            options.append(branch(None, max(0, s_prime - plus_rows.bit_count()), minus_rows | star_rows, 1))
         else:
-            options.append(branch(None, max(0, len(plus_rows) - (s_prime - 1)), plus_rows, -1))
+            options.append(branch(None, max(0, plus_rows.bit_count() - (s_prime - 1)), plus_rows, -1))
 
     options = [o for o in options if o is not None]
     if not options:

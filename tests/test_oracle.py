@@ -15,7 +15,6 @@ from gidsolve.errors import (
 )
 from gidsolve.generators import gen_random_profile, gen_rx3c, gen_rx3c_no, rx3c_to_cgb
 from gidsolve.instances import (
-    FAMILY_KIND,
     NO_VERDICT,
     OBJECTIVES,
     Solution,
@@ -607,15 +606,14 @@ def _assert_judge_agrees(instance):
     # the mask judge, through the real search loop on one candidate, against
     # check_witness on the Solution that candidate converts to; check_witness
     # gets a copy of the profile without column views, so its derived
-    # profiles transpose from scratch while the search patches its own
+    # profiles transpose from scratch, while the search patches the
+    # instance's views or, for column-local bribery, reads its target columns
     p = instance.profile
-    kind = FAMILY_KIND[instance.family]
     p._columns()
     count = 0
     for candidate in _search_candidates(instance):
         verdict = oracle._first_witness(instance, iter([candidate]), DEFAULT_SEARCH)
-        derived = p._derive(candidate) if kind in ("bribed", "flipped") else p
-        solution = oracle._solution_of(instance, kind, candidate, derived)
+        solution = oracle._solution_of(instance, candidate)
         copy = Profile(n=p.n, kind=p.kind, names=p.names, row_pos=p.row_pos, row_known=p.row_known)
         expected = check_witness(dataclasses.replace(instance, profile=copy), solution)
         assert (verdict.answer == "YES") is expected, (instance, candidate)
@@ -748,11 +746,14 @@ def test_search_builds_and_checks_only_the_witness(monkeypatch):
             assert checked == [] and built == [], name
 
 
-def test_consent_bribery_patches_derived_column_views(monkeypatch):
-    # the instance's profile transposes once; every bribed profile arrives
-    # from _derive with the column views a from-scratch profile builds
-    inst = make_instance(gen_random_profile(5, seed=81), SocialRule.consent(2, 2), "GB", "general",
-                         aplus=(0,), aminus=(1,), budget=1)
+def test_consent_bribery_derives_no_profile_for_rejected_candidates(monkeypatch):
+    # column-local bribery judges its candidates on the instance's target
+    # columns: the instance's profile transposes once, a rejected candidate
+    # derives no profile, and a YES derives one, in check_witness, whose
+    # patched column views equal the ones a from-scratch profile builds
+    no = make_instance(gen_random_profile(5, seed=81), SocialRule.consent(2, 2), "GB", "general",
+                       aplus=(0,), aminus=(1,), budget=1)
+    yes = make_instance(ex1(), SocialRule.consent(3, 1), "GB", "constructive", aplus=(3,), budget=2)
     built = []
     derived = []
     original_columns = profiles.Profile._columns
@@ -765,16 +766,21 @@ def test_consent_bribery_patches_derived_column_views(monkeypatch):
 
     def deriving(self, changed):
         result = original_derive(self, changed)
-        if result is not self:
-            derived.append((result, result._col_views))
+        derived.append((result, result._col_views))
         return result
 
     monkeypatch.setattr(profiles.Profile, "_columns", counting)
     monkeypatch.setattr(profiles.Profile, "_derive", deriving)
-    assert solve_bribery_brute(inst).answer == "NO"
-    assert len(built) == 1 and built[0] is inst.profile
-    assert len(derived) == 7  # the 8 candidates of the node-count table, less the empty one
-    for profile, views in derived:
-        fresh = Profile(n=profile.n, kind=profile.kind, names=profile.names, row_pos=profile.row_pos,
-                        row_known=profile.row_known)
-        assert views == original_columns(fresh)
+    assert solve_bribery_brute(no).answer == "NO"
+    assert built == [no.profile] and derived == []
+    # the 8 candidates of the node-count table
+    with pytest.raises(InstanceTooLarge):
+        solve_bribery_brute(no, SearchBudget(node_limit=7))
+    assert solve_bribery_brute(no, SearchBudget(node_limit=8)).answer == "NO"
+    assert built == [no.profile] and derived == []
+    assert solve_bribery_brute(yes).answer == "YES"
+    assert built == [no.profile, yes.profile] and len(derived) == 1
+    profile, views = derived[0]
+    fresh = Profile(n=profile.n, kind=profile.kind, names=profile.names, row_pos=profile.row_pos,
+                    row_known=profile.row_known)
+    assert views is not None and views == original_columns(fresh)

@@ -1,5 +1,6 @@
 """Specialized solver tests: goldens, immunity rows, and oracle sweeps."""
 
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -20,9 +21,12 @@ from gidsolve.generators import (
 from gidsolve.instances import (
     FAMILIES,
     FAMILY_KIND,
+    NO_VERDICT,
     OBJECTIVES,
     AttackInstance,
     Solution,
+    Verdict,
+    _judge,
     check_witness,
     effective_targets,
     hard_violations,
@@ -1284,6 +1288,126 @@ def test_microbribery_sliced_matches_microbribery_brute_on_seeded_instances():
     got = _outcome(solve_microbribery_sliced.run, instance, oracle.DEFAULT_SEARCH)
     assert got == _outcome(solve_microbribery_brute, instance, oracle.DEFAULT_SEARCH)
     assert got == ("YES", Solution.flipped({(5, 1): -1, (7, 1): -1}))
+
+
+def _reference_bribed_rows(instance, solver):
+    """The candidates of bribery_brute under a column-local rule, or of the
+    cgb_xp/dgb_xp search, as replaced rows, in the order they are searched."""
+    p = instance.profile
+    full = (1 << p.n) - 1
+    if solver == "bribery_brute":
+        plus, minus = effective_targets(instance)
+        template = profiles.mask_of(plus)
+        for members in oracle._affordable([instance.agent_price(a) for a in range(p.n)], instance.budget):
+            branch = [a for a in members if a in plus or a in minus]
+            choices = [((1, -1) if a in plus else (-1, 1)) + ((0,) if p.kind == "ternary" else ()) for a in branch]
+            for picks in itertools.product(*choices):
+                diag = dict(zip(branch, picks))
+                rows = {}
+                for a in members:
+                    bit = 1 << a
+                    pick = diag.get(a, -1)
+                    rows[a] = ((template & ~bit) | (bit if pick == 1 else 0), full & ~bit if pick == 0 else full)
+                yield rows
+        return
+    sign = 1 if solver == "cgb_xp" else -1
+    targets, quota = (instance.aplus, instance.rule.s) if sign == 1 else (instance.aminus, instance.rule.t)
+    forced = sorted(a for a in targets if p.entry(a, a) == -sign)
+    remaining = instance.budget - instance.cost_of_agents(forced)
+    if remaining < 0:
+        return
+    pool = [b for b in range(p.n) if b not in forced]
+    for extra in _subsets(pool, min(quota, len(pool), remaining)):
+        if instance.cost_of_agents(extra) <= remaining:
+            yield dict.fromkeys(forced + list(extra), (full if sign == 1 else 0, full))
+
+
+def _reference_bribery(solver):
+    """A solve(instance, search) that judges every candidate of
+    _reference_bribed_rows on the whole profile Profile._derive makes."""
+    def solve(instance, search):
+        p = instance.profile
+        judge = None
+        for count, rows in enumerate(_reference_bribed_rows(instance, solver), 1):
+            if search.node_limit is not None and count > search.node_limit:
+                raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
+            if judge is None:
+                judge = _judge(instance)
+            derived = p._derive(rows)
+            if judge((1 << p.n) - 1, derived):
+                witness = Solution.bribed({a: derived.row(a) for a in rows})
+                assert check_witness(instance, witness)
+                return Verdict("YES", witness=witness)
+        return NO_VERDICT
+    return solve
+
+
+_COLUMN_LOCAL_BRIBERY = {
+    "bribery_brute": solve_bribery_brute,
+    "cgb_xp": lambda instance, search: solvers._gb_xp(instance, search, 1),
+    "dgb_xp": lambda instance, search: solvers._gb_xp(instance, search, -1),
+}
+
+
+def _assert_bribery_matches_reference(instance):
+    """bribery_brute, and cgb_xp/dgb_xp where their quota is 1, against the
+    derived-profile reference: the same verdict and refusal under node
+    limits none, 0, 1 and 3.  Returns the oracle's answer without a limit."""
+    rule = instance.rule
+    consent = rule.variant == "consent"
+    names = ["bribery_brute"] + ["cgb_xp"] * (consent and rule.t == 1) + ["dgb_xp"] * (consent and rule.s == 1)
+    answers = []
+    for name in names:
+        for limit in (None, 0, 1, 3):
+            search = SearchBudget(node_limit=limit)
+            got = _outcome(_COLUMN_LOCAL_BRIBERY[name], instance, search)
+            assert got == _outcome(_reference_bribery(name), instance, search), (name, instance, limit)
+            answers.append(got[0])
+    return answers[0]
+
+
+def test_column_local_bribery_matches_the_derived_profile_reference_exhaustively():
+    # every binary profile up to n = 3, every consent (s, t) within the
+    # bound and ternary(2, -, 1), every objective and target shape, budgets
+    # 0..n, unpriced and priced; at n = 2 every rule and target shape with
+    # the budget and pricing cycling, at n = 3 one of each per (profile,
+    # objective), cycling
+    searched = yes = 0
+    for n in range(1, 4):
+        rules = [rule for rule in valid_rules(n, "binary") if rule.column_local]
+        settings = list(itertools.product(range(n + 1), (None, {a: 1 + a % 3 for a in range(n)})))
+        turn = 0
+        for rows in itertools.product(range(1 << n), repeat=n):
+            p = profiles.Profile(n=n, kind="binary", names=profiles.default_names(n), row_pos=rows,
+                                 row_known=((1 << n) - 1,) * n)
+            for objective, targets in _gb_target_shapes(n).items():
+                cases = list(itertools.product(rules, targets, settings if n == 1 else [None]))
+                for rule, (aplus, aminus), setting in cases if n < 3 else [cases[turn % len(cases)]]:
+                    budget, prices = setting or settings[turn % len(settings)]
+                    instance = make_instance(p, rule, "GB", objective, aplus, aminus, budget=budget,
+                                             agent_prices=prices)
+                    searched += 1
+                    yes += _assert_bribery_matches_reference(instance) == "YES"
+                    turn += 1
+    assert (searched, yes) == (3520, 1968)
+
+
+def test_column_local_bribery_matches_the_derived_profile_reference_on_seeded_instances():
+    # n 4-8: binary profiles under consent, ternary profiles with stars
+    # under ternary rules, every objective, about a third priced
+    rng = random.Random(2700)
+    searched = yes = 0
+    for n in range(4, 9):
+        rules = [profiles.SocialRule.consent(s, t) for s in range(1, 4) for t in range(1, 4)]
+        rules += [profiles.SocialRule.ternary(s, sp, t) for s in (1, 2) for sp in (None, 1, 3) for t in (1, 2)]
+        for objective in OBJECTIVES:
+            for _ in range(12):
+                instance = random_instance(rng, "GB", objective, rng.choice(rules), n)
+                if n > 6:
+                    instance = dataclasses.replace(instance, budget=min(instance.budget, 2))
+                searched += 1
+                yes += _assert_bribery_matches_reference(instance) == "YES"
+    assert (searched, yes) == (240, 139)
 
 
 def test_auto_dispatch_r1_specialization():
