@@ -18,10 +18,11 @@ The only cleverness allowed is cutting provably irrelevant degrees of
 freedom (canonical bribery rewrites for column-local rules, a fixed pivot
 for the symmetric partition question).  Both bribery oracles take their
 bribed or flipped sets from _affordable.  The sliced solvers judge these
-same candidates all at once and return the first witness and the node
-count of an oracle: gcpi_sliced control_brute's, bribery_sliced
-bribery_brute's and microbribery_sliced microbribery_brute's under csr
-and lsr.
+same candidates many at once, bit-sliced, and return the first witness
+and the node count of an oracle: gcpi_sliced control_brute's, judging
+every partition at once; bribery_sliced bribery_brute's and
+microbribery_sliced microbribery_brute's under csr and lsr, judging
+_affordable's stream in windows of positions.
 """
 
 from __future__ import annotations

@@ -14,11 +14,10 @@ consent duality is what makes the destructive sign correct.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import and_, or_
+from operator import and_
 
 from . import profiles
 from .errors import InstanceTooLarge, PreconditionViolated
@@ -41,6 +40,8 @@ from .oracle import (
     _affordable,
     _first_witness,
     _pair_domain,
+    _sequential_rewrite,
+    _solution_of,
     _subsets,
     _verified_yes,
     solve_bribery_brute,
@@ -513,8 +514,7 @@ def _fpt_ilp(instance: AttackInstance, search: SearchBudget) -> Verdict:
     return _verified_yes(instance, witness)
 
 
-# at most 2^16 positions in all three sliced routes: subsets of at most 16 individuals, or
-# size-feasible flip sets; microbribery_sliced also takes at most 16, as it keeps n^2 pair masks
+# gcpi_sliced takes every subset of N as a position, so at most 2^16 of them
 SLICED_N_CAP = 16
 _BYTE_MIRROR = bytes(int(format(i, "08b")[::-1], 2) for i in range(256))
 
@@ -531,7 +531,9 @@ def _first_accepted(accepted: int, feasible: int, order) -> tuple[int, int | Non
     """(count, u): the first accepted feasible position u in
     size-then-lexicographic order, and u's rank among the feasible positions,
     counted from 1; (the number of feasible positions, None) when no feasible
-    position is accepted.
+    position is accepted.  gcpi_sliced ranks partitions with it: every
+    subset of N is a position, the feasible ones hold individual 0, and
+    control_brute orders them by their bodies.
 
     order holds the sliced masks (profiles.slice_basis) of the individuals
     the order runs over, ascending, and a position's size counts its members
@@ -625,105 +627,96 @@ def _sequential_accepted(instance: AttackInstance, approvals, every: int) -> int
     return accepted
 
 
+# bribery_sliced and microbribery_sliced take the oracle's stream in windows of
+# positions: the first this small, so an early witness costs little, each later
+# one twice the last, up to this cap, which bounds the masks held at once
+SLICED_WINDOWS = (64, 1 << 14)
+
+
+def _first_sliced(instance: AttackInstance, prices, approvals_of, search: SearchBudget):
+    """The first set oracle._affordable(prices, budget) yields that the
+    csr/lsr objective accepts, or None; the oracle judges one candidate per
+    set, so each set counts one node, as there.
+
+    Bit position u stands for the window's u-th set: held[j] holds the
+    positions whose set takes item j, and approvals_of(held, every) gives
+    _sequential_accepted's sliced approvals.  The lowest accepted position
+    of the first window that has one is the oracle's first witness.
+    """
+    sets = _affordable(prices, instance.budget)
+    size, cap = SLICED_WINDOWS
+    examined = 0
+    while window := list(itertools.islice(sets, size)):
+        width = len(window)
+        # position u is digit width - 1 - u of each item's binary numeral
+        digits = [bytearray(b"0" * width) for _ in prices]
+        for u, chosen in enumerate(window):
+            for j in chosen:
+                digits[j][~u] = 49
+        every = (1 << width) - 1
+        accepted = _sequential_accepted(instance, approvals_of([int(d, 2) for d in digits], every), every)
+        u = (accepted & -accepted).bit_length() - 1
+        examined += u + 1 if accepted else width
+        if search.node_limit is not None and examined > search.node_limit:
+            raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
+        if accepted:
+            return window[u]
+        size = min(2 * size, cap)
+    return None
+
+
 def _bribery_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
-    """csr/lsr bribery by judging every bribed set B at once, B = u at bit
-    position u (profiles.slice_basis).
+    """csr/lsr bribery by judging bribery_brute's bribed sets B a window at a
+    time (_first_sliced).
 
     The oracle's rewrite is canonical (oracle._sequential_rewrite): each
     member of B approves all but the bad set, the destructive targets closed
-    backwards along the unbribed's +1 rows.  Sliced, bad is the least fixed
-    point of bad[z] = minus[z] | (~X[z] & OR of bad[w] over z's +1 row), b
-    approves a at u iff (X[b] & ~bad[a]) | (~X[b] & b's row bit), and one
-    csr/lsr evaluation of N on those approvals judges every B.  A dynamic
-    program over agent prices gives the sets bribery_brute can afford; the
-    first accepted one in its order, ranked by _first_accepted, is the
-    witness, and the node limit is charged as there.
+    backwards along the unbribed's +1 rows.  Sliced, with X[z] the positions
+    whose B holds z, bad is the least fixed point of bad[z] = minus[z] |
+    (~X[z] & OR of bad[w] over z's +1 row), and b approves a at u iff
+    (X[b] & ~bad[a]) | (~X[b] & b's row bit).
     """
     p = instance.profile
-    n = p.n
-    budget = instance.budget
-    every, xs = profiles.slice_basis(n)
     minus = instance._target_masks[1]
-    unbribed = [every ^ x for x in xs]
-    bad = [every if minus >> z & 1 else 0 for z in range(n)]
-    if minus:
-        # bad spreads from w to each unbribed z whose row approves w
-        bad = profiles._sliced_closure(bad, [[(z, unbribed[z]) for z in profiles.bits(column)]
-                                             for column in p.col_pos])
-    good = [every ^ positions for positions in bad]
-    approvals = [[(x & ok) | (off if row >> a & 1 else 0) for a, ok in enumerate(good)]
-                 for x, off, row in zip(xs, unbribed, p.row_pos)]
-    accepted = _sequential_accepted(instance, approvals, every)
-    # spent[c]: the positions whose bribed set costs c, over the agents seen;
-    # prices are at least 1, so no affordable set outgrows the budget
-    spent = {0: every}
-    for a, (x, off) in enumerate(zip(xs, unbribed)):
-        price = instance.agent_price(a)
-        # dearest cost first, so the sets that take agent a land on costs
-        # this agent has already split
-        for cost in sorted(spent, reverse=True):
-            positions = spent[cost]
-            spent[cost] = positions & off
-            if cost + price <= budget:
-                spent[cost + price] = spent.get(cost + price, 0) | (positions & x)
-    examined, witness = _first_accepted(accepted, reduce(or_, spent.values()), xs)
-    if search.node_limit is not None and examined > search.node_limit:
-        raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
-    if witness is None:
+
+    def approvals_of(xs, every):
+        unbribed = [every ^ x for x in xs]
+        bad = [every if minus >> z & 1 else 0 for z in range(p.n)]
+        if minus:
+            # bad spreads from w to each unbribed z whose row approves w
+            bad = profiles._sliced_closure(bad, [[(z, unbribed[z]) for z in profiles.bits(column)]
+                                                 for column in p.col_pos])
+        good = [every ^ positions for positions in bad]
+        return [[(x & ok) | (off if row >> a & 1 else 0) for a, ok in enumerate(good)]
+                for x, off, row in zip(xs, unbribed, p.row_pos)]
+
+    members = _first_sliced(instance, [instance.agent_price(a) for a in range(p.n)], approvals_of, search)
+    if members is None:
         return NO_VERDICT
-    row = tuple(-1 if positions >> witness & 1 else 1 for positions in bad)
-    return _verified_yes(instance, Solution.bribed(dict.fromkeys(profiles.bits(witness), row)))
+    return _verified_yes(instance, _solution_of(instance, _sequential_rewrite(instance, members)))
 
 
 def _microbribery_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
-    """csr/lsr microbribery by judging every affordable flip set at once.
+    """csr/lsr microbribery by judging microbribery_brute's flip sets a
+    window at a time (_first_sliced).
 
-    On a binary profile each pair has one flip, so microbribery_brute judges
-    one candidate per set oracle._affordable yields over the pairs' prices;
-    bit position u stands for the u-th.  held[j] holds the positions whose
-    set flips pair j; b approves a exactly there if entry (b, a) is -1, and
-    everywhere else otherwise.  The positions run in the oracle's order, so
-    the lowest accepted one is its first witness and is charged as there.
+    On a binary profile each pair has one flip, so the oracle judges one
+    candidate per set of pairs.  b approves a exactly where the set flips
+    pair (b, a) if entry (b, a) is -1, and everywhere else otherwise.
     """
     p = instance.profile
     n = p.n
     domain = _pair_domain(instance)
-    prices = [instance.pair_price(a, b) for a, b in domain]
-    held = [0] * len(domain)
-    width = 0
-    for width, chosen in enumerate(_affordable(prices, instance.budget), 1):
-        for j in chosen:
-            held[j] |= 1 << width - 1
-    every = (1 << width) - 1
-    # the pairs run row by row: entry (b, a) is pair b * n + a
-    approvals = [[every ^ held[b * n + a] if row >> a & 1 else held[b * n + a] for a in range(n)]
-                 for b, row in enumerate(p.row_pos)]
-    accepted = _sequential_accepted(instance, approvals, every)
-    witness = (accepted & -accepted).bit_length() - 1
-    examined = witness + 1 if accepted else width
-    if search.node_limit is not None and examined > search.node_limit:
-        raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
-    if not accepted:
+
+    def approvals_of(held, every):
+        # the pairs run row by row: entry (b, a) is pair b * n + a
+        return [[every ^ held[b * n + a] if row >> a & 1 else held[b * n + a] for a in range(n)]
+                for b, row in enumerate(p.row_pos)]
+
+    chosen = _first_sliced(instance, [instance.pair_price(a, b) for a, b in domain], approvals_of, search)
+    if chosen is None:
         return NO_VERDICT
-    chosen = next(itertools.islice(_affordable(prices, instance.budget), witness, None))
     return _verified_yes(instance, Solution.flipped({domain[j]: -p.entry(*domain[j]) for j in chosen}))
-
-
-def _flip_sets(instance: AttackInstance) -> int:
-    """The size-feasible flip sets of a GMB instance: sets of at most budget of its n^2 pairs."""
-    pairs = instance.profile.n ** 2
-    return sum(math.comb(pairs, size) for size in range(min(instance.budget or 0, pairs) + 1))
-
-
-def _bribery_sliced_pays(instance: AttackInstance) -> bool:
-    """Whether bribery_sliced is the faster route: the oracle judges the
-    size-feasible bribed sets one by one, the sliced route builds n^2
-    approvals over 2^n positions.  Timed at n 3-16 and budgets 0-4, sets *
-    n^2 >= 2.5 * 2^n parted the cells the sliced route won from those the
-    oracle won, up to near ties."""
-    n = instance.profile.n
-    sets = sum(math.comb(n, size) for size in range(min(instance.budget, n) + 1))
-    return 2 * sets * n * n >= 5 << n
 
 
 @dataclass(frozen=True)
@@ -739,9 +732,6 @@ class SolverSpec:
     name: str
     requires: tuple
     run: Callable[[AttackInstance, SearchBudget], Verdict]
-    # automatic dispatch passes the spec over where this is False: a
-    # measured crossover against the oracle, not a limit of the domain
-    pays: Callable[[AttackInstance], bool] = lambda instance: True
 
     def refusal(self, instance: AttackInstance) -> str | None:
         # a plain loop: dispatch asks every spec in turn on each solve
@@ -763,8 +753,7 @@ class SolverSpec:
 _NO_EXACT_DELETION = (lambda i: not (i.family == "GCDI" and i.objective == "exact"),
                       "deleting problems have no exact variant")
 
-# In dispatch order: solve_auto runs the first spec whose domain holds and
-# that pays there.
+# In dispatch order: solve_auto runs the first spec whose domain holds.
 SOLVERS = (
     SolverSpec("cgb_xp", (
         (lambda i: i.family == "GB" and i.objective == "constructive",
@@ -809,18 +798,11 @@ SOLVERS = (
     SolverSpec("bribery_sliced", (
         (lambda i: i.family == "GB" and not i.rule.column_local,
          "this algorithm handles GB under csr and lsr only"),
-        (lambda i: i.profile.n <= SLICED_N_CAP,
-         "this algorithm handles at most %d individuals" % SLICED_N_CAP),
-    ), _bribery_sliced, _bribery_sliced_pays),
+    ), _bribery_sliced),
     SolverSpec("microbribery_sliced", (
         (lambda i: i.family == "GMB" and not i.rule.column_local,
          "this algorithm handles GMB under csr and lsr only"),
-        (lambda i: i.profile.n <= SLICED_N_CAP,
-         "this algorithm handles at most %d individuals" % SLICED_N_CAP),
-        (lambda i: _flip_sets(i) <= 1 << SLICED_N_CAP,
-         "this algorithm handles at most 2^%d flip sets" % SLICED_N_CAP),
-    # a measured crossover: past budget 3 the oracle's early witnesses won
-    ), _microbribery_sliced, lambda i: i.budget <= 3),
+    ), _microbribery_sliced),
 )
 (solve_cgb_xp, solve_dgb_xp, solve_gcdi_22, solve_cgcai_r1, solve_microbribery_consent,
  solve_fpt_ilp, solve_gcpi_sliced, solve_bribery_sliced, solve_microbribery_sliced) = SOLVERS
@@ -839,11 +821,10 @@ BY_NAME = {spec.name: spec for spec in SOLVERS} | ORACLES
 def auto_solver(instance: AttackInstance):
     """The (name, algorithm) solve_auto runs past preflight.
 
-    That is the first spec whose domain holds and that pays there, else the
-    family's oracle.
+    That is the first spec whose domain holds, else the family's oracle.
     """
     for spec in SOLVERS:
-        if spec.refusal(instance) is None and spec.pays(instance):
+        if spec.refusal(instance) is None:
             return spec.name, spec.run
     name = ORACLE_FOR_FAMILY[instance.family]
     return name, ORACLES[name]

@@ -1011,47 +1011,43 @@ def test_auto_dispatch_names():
                        aplus=(0,), budget=3), "microbribery_sliced"),
         (make_instance(p, profiles.SocialRule.lsr(), "GMB", "destructive",
                        aminus=(0, 2), budget=1), "microbribery_sliced"),
-        # budget 4 is past the crossover of microbribery_sliced
         (make_instance(p, profiles.SocialRule.csr(), "GMB", "constructive",
-                       aplus=(0,), budget=4), "microbribery_brute"),
+                       aplus=(0,), budget=4), "microbribery_sliced"),
         (make_instance(p, profiles.SocialRule.csr(), "GB", "constructive",
                        aplus=(0,), budget=2), "bribery_sliced"),
         (make_instance(p, consent(2, 2), "GCPI", "destructive",
                        aminus=(2,)), "gcpi_sliced"),
-        # at n = 8 budget 2 is past the crossover of bribery_sliced, and
-        # budget 1 is below it
         (make_instance(gen_random_profile(8, seed=1), profiles.SocialRule.lsr(), "GB", "destructive",
                        aminus=(0, 1), budget=2), "bribery_sliced"),
         (make_instance(gen_random_profile(8, seed=1), profiles.SocialRule.csr(), "GB", "constructive",
-                       aplus=(0,), budget=1), "bribery_brute"),
+                       aplus=(0,), budget=1), "bribery_sliced"),
     ]
     for instance, want in expectations:
         _got, name = solve_auto(instance)
         assert name == want, want
-    # past the sliced solvers' cap partition control and bribery go to the oracles
+    # past 16 individuals partition control goes to the oracle
     big = make_instance(gen_random_profile(17, seed=3), consent(2, 2), "GCPI", "destructive",
                         aminus=(0,))
     assert auto_solver(big)[0] == "control_brute"
     with pytest.raises(PreconditionViolated, match="at most 16 individuals"):
         solve_gcpi_sliced(big)
-    big = make_instance(gen_random_profile(17, seed=3), profiles.SocialRule.csr(), "GB", "constructive",
-                        aplus=(0,), budget=4)
-    assert solve_bribery_sliced.pays(big)
-    assert auto_solver(big)[0] == "bribery_brute"
-    with pytest.raises(PreconditionViolated, match="at most 16 individuals"):
-        solve_bribery_sliced(big)
-    # microbribery: past 2^16 size-feasible flip sets (n = 16, budget 3: about
-    # 2.8 million) and past 16 individuals
-    big = make_instance(gen_random_profile(16, seed=3), profiles.SocialRule.csr(), "GMB", "constructive",
-                        aplus=(0,), budget=3)
-    assert auto_solver(big)[0] == "microbribery_brute"
-    with pytest.raises(PreconditionViolated, match=r"at most 2\^16 flip sets"):
-        solve_microbribery_sliced(big)
-    big = make_instance(gen_random_profile(17, seed=3), profiles.SocialRule.lsr(), "GMB", "destructive",
-                        aminus=(0,), budget=1)
-    assert auto_solver(big)[0] == "microbribery_brute"
-    with pytest.raises(PreconditionViolated, match="at most 16 individuals"):
-        solve_microbribery_sliced(big)
+    # csr/lsr bribery and microbribery have no size cap: n = 17, and n = 16
+    # at budget 3 (about 2.8 million flip sets)
+    bigs = [
+        (make_instance(gen_random_profile(17, seed=3), profiles.SocialRule.csr(), "GB", "constructive",
+                       aplus=(0,), budget=4), "bribery_sliced"),
+        (make_instance(gen_random_profile(16, seed=3), profiles.SocialRule.csr(), "GMB", "constructive",
+                       aplus=(0,), budget=3), "microbribery_sliced"),
+        (make_instance(gen_random_profile(17, seed=3), profiles.SocialRule.lsr(), "GMB", "destructive",
+                       aminus=(0,), budget=1), "microbribery_sliced"),
+    ]
+    search = SearchBudget(node_limit=4000)
+    outcomes = []
+    for instance, want in bigs:
+        assert auto_solver(instance)[0] == want, want
+        outcomes.append(_outcome(solvers.BY_NAME[want].run, instance, search))
+        assert outcomes[-1] == _outcome(ORACLES[ORACLE_FOR_FAMILY[instance.family]], instance, search), want
+    assert outcomes == [("NO", None), ("refused", "candidate count exceeded node limit 4000"), ("NO", None)]
 
 
 def _outcome(solve, instance, search):
@@ -1175,12 +1171,19 @@ def _gb_target_shapes(n):
 
 def _assert_sliced_matches(instance, sliced=solve_bribery_sliced, brute=solve_bribery_brute):
     """Same answer, witness and refusal as the oracle under every node
-    limit; returns the answer without a limit."""
-    for limit in (0, 1, 3, 10, 40, None):
-        search = SearchBudget(node_limit=limit)
-        got = _outcome(sliced.run, instance, search)
-        assert got == _outcome(brute, instance, search), (instance, limit)
-    return got[0]
+    limit, with the default windows and with windows of 1 to 3 positions,
+    whose borders fall next to nearly every candidate; returns the answer
+    without a limit."""
+    searches = [SearchBudget(node_limit=limit) for limit in (0, 1, 3, 10, 40, None)]
+    want = [_outcome(brute, instance, search) for search in searches]
+    default = solvers.SLICED_WINDOWS
+    try:
+        for windows in (default, (1, 3)):
+            solvers.SLICED_WINDOWS = windows
+            assert [_outcome(sliced.run, instance, search) for search in searches] == want, (instance, windows)
+    finally:
+        solvers.SLICED_WINDOWS = default
+    return want[-1][0]
 
 
 def test_bribery_sliced_matches_bribery_brute_exhaustively():
@@ -1288,6 +1291,16 @@ def test_microbribery_sliced_matches_microbribery_brute_on_seeded_instances():
     got = _outcome(solve_microbribery_sliced.run, instance, oracle.DEFAULT_SEARCH)
     assert got == _outcome(solve_microbribery_brute, instance, oracle.DEFAULT_SEARCH)
     assert got == ("YES", Solution.flipped({(5, 1): -1, (7, 1): -1}))
+    # n = 4 at budget 16 affords all 2^16 flip sets; the witness flips five
+    # pairs and ranks 2,585th, past five window borders (named calls)
+    instance = make_instance(gen_random_profile(4, seed=0), profiles.SocialRule.lsr(), "GMB", "general",
+                             aplus=(0, 1), aminus=(2, 3), budget=16)
+    assert preflight(instance) is None
+    witness = Solution.flipped({(0, 0): 1, (0, 1): 1, (0, 2): -1, (2, 2): -1, (3, 3): -1})
+    for limit, want in ((2585, ("YES", witness)), (2584, ("refused", "candidate count exceeded node limit 2584"))):
+        search = SearchBudget(node_limit=limit)
+        assert _outcome(solve_microbribery_sliced, instance, search) == want, limit
+        assert _outcome(solve_microbribery_brute, instance, search) == want, limit
 
 
 def _reference_bribed_rows(instance, solver):
