@@ -217,8 +217,7 @@ _count = _int_at_least(1, "count")
 
 
 def _search(args) -> SearchBudget:
-    limit = getattr(args, "limit_nodes", None)
-    return SearchBudget(node_limit=limit)
+    return SearchBudget(node_limit=args.limit_nodes)
 
 
 def witness_text(instance, solution) -> str:

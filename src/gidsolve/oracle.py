@@ -20,7 +20,9 @@ for the symmetric partition question).  Both bribery oracles take their
 bribed or flipped sets from _affordable.  The sliced solvers judge these
 same candidates many at once, bit-sliced, and return the first witness
 and the node count of an oracle: gcpi_sliced control_brute's, judging
-every partition at once; bribery_sliced bribery_brute's and
+every partition at once with individual a on bit n - 1 - a of the
+position, so that within one size descending positions follow the
+lexicographic order of the bodies; bribery_sliced bribery_brute's and
 microbribery_sliced microbribery_brute's under csr and lsr, judging
 _affordable's stream in windows of positions.
 """

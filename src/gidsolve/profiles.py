@@ -27,11 +27,11 @@ approves them, so each round is an OR of rows.  A column-local rule reads
 one column per member, so eval_mask and eval_sliced can decide only the
 columns a caller reads, such as the targets of an attack.
 
-eval_sliced evaluates a rule on all 2^n subsets at once: one int per
-individual, with bit u standing for the subset whose mask is u
-(slice_basis), so each step of eval_mask becomes one operation on ints.
-Its csr/lsr closure, _sliced_closure, takes sliced approvals, so each
-position may also have rows of its own.
+eval_sliced evaluates a rule on many populations at once: one int per
+individual, with bit u standing for the u-th population, such as the
+subset whose mask is u (slice_basis), so each step of eval_mask becomes
+one operation on ints.  Its csr/lsr closure, _sliced_closure, takes
+sliced approvals, so each position may also have rows of its own.
 """
 
 from __future__ import annotations
@@ -503,12 +503,24 @@ def slice_basis(n: int) -> tuple[int, tuple[int, ...]]:
     return every, tuple(xs)
 
 
-def _sliced_at_least(populations, voters: int, quota: int, every: int) -> int:
-    """The positions where at least quota of the voters are in the population."""
+@functools.cache
+def _sliced_sizes(n: int) -> tuple[int, ...]:
+    """levels[k]: the positions of slice_basis(n) whose subset has k members,
+    for k = 0 to n; the same in the reversed basis, as only the count counts."""
+    levels = [1]
+    for m in range(n):
+        # position u + 2^m adds a member to position u
+        levels = [lo | hi << (1 << m) for lo, hi in zip(levels + [0], [0] + levels)]
+    return tuple(levels)
+
+
+def _sliced_at_least(populations, voters: int, quota: int) -> int:
+    """The positions where at least quota (>= 1) of the voters are in the population."""
     if quota > voters.bit_count():
         return 0
-    # reach[k]: the positions where at least k of the voters seen so far are in
-    reach = [every] + [0] * quota
+    # reach[k]: the positions where at least k of the voters seen so far are
+    # in; reach[0] is every position, -1, until a population masks it
+    reach = [-1] + [0] * quota
     seen = 0
     for b in bits(voters):
         pb = populations[b]
@@ -519,10 +531,11 @@ def _sliced_at_least(populations, voters: int, quota: int, every: int) -> int:
 
 
 def eval_sliced(rule: SocialRule, populations, profile: Profile, columns=None) -> list[int]:
-    """eval_mask on 2^n populations at once, bit-sliced.
+    """eval_mask on many populations at once, bit-sliced.
 
-    populations[a] has bit u set iff a is in the u-th population, over the
-    positions of slice_basis(n); the result has the same layout, bit u of
+    populations[a] has bit u set iff a is in the u-th population, for any
+    family of populations (the subsets in slice_basis(n)'s order or its
+    reverse, or any other); the result has the same layout, bit u of
     result[a] set iff a is in the rule's result on the u-th population.  A
     column-local rule computes only the given columns (all when None) and
     leaves the rest 0; csr and lsr always compute every column.  Assumes
@@ -531,20 +544,19 @@ def eval_sliced(rule: SocialRule, populations, profile: Profile, columns=None) -
     n = profile.n
     out = [0] * n
     if rule.column_local:
-        every = slice_basis(n)[0]
         col_pos, col_known = profile._columns()
         diag_pos = profile.diag_pos
         diag_known = profile.diag_known
         for a in range(n) if columns is None else columns:
             bit = 1 << a
             if diag_pos & bit:
-                out[a] = populations[a] & _sliced_at_least(populations, col_pos[a], rule.s, every)
+                out[a] = populations[a] & _sliced_at_least(populations, col_pos[a], rule.s)
             elif diag_known & bit:
                 against = col_known[a] & ~col_pos[a]
-                out[a] = populations[a] & ~_sliced_at_least(populations, against, rule.t, every)
+                out[a] = populations[a] & ~_sliced_at_least(populations, against, rule.t)
             else:
                 quota = rule.effective_s_prime(n)
-                out[a] = populations[a] & _sliced_at_least(populations, col_pos[a], quota, every)
+                out[a] = populations[a] & _sliced_at_least(populations, col_pos[a], quota)
         return out
     row_pos = profile.row_pos
     full = full_mask(n)

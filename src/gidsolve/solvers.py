@@ -520,93 +520,64 @@ _BYTE_MIRROR = bytes(int(format(i, "08b")[::-1], 2) for i in range(256))
 
 
 def _mirrored(sliced: int, n: int) -> int:
-    """The 2^n positions of a sliced mask in reverse order, u to 2^n - 1 - u."""
+    """The 2^n positions of a sliced mask in reverse order, u to 2^n - 1 - u,
+    which takes the subset at u to its complement in either bit order."""
     width = 1 << n
     size = (width + 7) // 8
     mirrored = sliced.to_bytes(size, "little").translate(_BYTE_MIRROR)
     return int.from_bytes(mirrored, "big") >> (8 * size - width)
 
 
-def _first_accepted(accepted: int, feasible: int, order) -> tuple[int, int | None]:
-    """(count, u): the first accepted feasible position u in
-    size-then-lexicographic order, and u's rank among the feasible positions,
-    counted from 1; (the number of feasible positions, None) when no feasible
-    position is accepted.  gcpi_sliced ranks partitions with it: every
-    subset of N is a position, the feasible ones hold individual 0, and
-    control_brute orders them by their bodies.
-
-    order holds the sliced masks (profiles.slice_basis) of the individuals
-    the order runs over, ascending, and a position's size counts its members
-    among them.  u is the lexicographically first accepted position of the
-    smallest size that has one: each individual in turn is taken when some
-    remaining accepted position holds it.  The rank counts, by popcounts, the
-    feasible positions of every smaller size, then those of u's size that
-    hold the first individual where they differ from u.
-    """
-    accepted &= feasible
-    if not accepted:
-        return feasible.bit_count(), None
-    # level[m]: the feasible positions with k members among the first m of
-    # order, for k = 0, 1, ... until level[-1] holds an accepted position;
-    # count takes in the feasible positions of each smaller k
-    outs = [~x for x in order]
-    level = [feasible]
-    for out in outs:
-        level.append(level[-1] & out)
-    count = 1
-    while not accepted & level[-1]:
-        count += level[-1].bit_count()
-        fewer = level
-        level = [0]
-        for m, x in enumerate(order):
-            level.append((level[m] & outs[m]) | (fewer[m] & x))
-    hits = accepted & level[-1]
-    agree = level[-1]
-    for x, out in zip(order, outs):
-        if hits & x:
-            hits &= x
-            agree &= x
-        else:
-            count += (agree & x).bit_count()
-            agree &= out
-    return count, hits.bit_length() - 1
+def _objective_met(instance: AttackInstance, final, positions: int) -> int:
+    """The given positions at which the sliced result final meets the objective."""
+    plus, minus = instance._target_masks
+    for a in profiles.bits(plus):
+        positions &= final[a]
+    for a in profiles.bits(minus):
+        positions &= ~final[a]
+    return positions
 
 
 def _gcpi_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
     """Partition control by judging every partition at once, bit-sliced.
 
-    Each subset U of N is one bit position (profiles.slice_basis), so the
-    rounds of every partition take two sliced evaluations: f(U) on X, whose
-    mirror image is f(N - U), and the final round on their union, where a
-    column-local rule needs only the target columns.  The positions whose
-    final result meets the objective and that hold the pinned individual 0
-    are the accepted candidates of control_brute; the first of them in its
-    order is the witness, found and ranked by _first_accepted, and the node
-    limit is charged as there.
+    Each subset U of N is one bit position, individual a on bit n - 1 - a
+    (profiles.slice_basis reversed), so the rounds of every partition take
+    two sliced evaluations: f(U) on X, whose mirror image is f(N - U), and
+    the final round on their union, where a column-local rule needs only the
+    target columns.  The positions that hold the pinned individual 0, on the
+    top bit, are control_brute's candidates, and among those of one size
+    descending position order is its lexicographic order of bodies.  So the
+    witness is the highest accepted position of the smallest size that has
+    one, and the node limit is charged with the candidates up to it.
     """
     p = instance.profile
     n = p.n
     rule = instance.rule
     every, xs = profiles.slice_basis(n)
+    xs = xs[::-1]
     plus, minus = instance._target_masks
     left = profiles.eval_sliced(rule, xs, p)
     # N - U sits at the mirrored position 2^n - 1 - u, so f(N - U) on every
     # subset is f(U) with the positions reversed
     union = [lw | _mirrored(lw, n) for lw in left]
     final = profiles.eval_sliced(rule, union, p, profiles.bits(plus | minus))
-    accepted = pinned = xs[0] if n else every
-    for a in profiles.bits(plus):
-        accepted &= final[a]
-    for a in profiles.bits(minus):
-        accepted &= ~final[a]
-    # control_brute judges every position that holds individual 0, by the
-    # size of its body, and stops at the first accepted one
-    examined, witness = _first_accepted(accepted, pinned, xs[1:])
+    pinned = xs[0] if n else every
+    accepted = _objective_met(instance, final, pinned)
+    examined = 0
+    witness = None
+    for level in profiles._sliced_sizes(n):
+        level &= pinned
+        if accepted & level:
+            witness = (accepted & level).bit_length() - 1
+            examined += (level >> witness).bit_count()
+            break
+        examined += level.bit_count()
     if search.node_limit is not None and examined > search.node_limit:
         raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
     if witness is None:
         return NO_VERDICT
-    return _verified_yes(instance, Solution.partition(profiles.bits(witness)))
+    return _verified_yes(instance, Solution.partition(n - 1 - b for b in profiles.bits(witness)))
 
 
 def _sequential_accepted(instance: AttackInstance, approvals, every: int) -> int:
@@ -618,13 +589,7 @@ def _sequential_accepted(instance: AttackInstance, approvals, every: int) -> int
     else:
         start = [row[a] for a, row in enumerate(approvals)]
     final = profiles._sliced_closure(start, [list(enumerate(row)) for row in approvals])
-    plus, minus = instance._target_masks
-    accepted = every
-    for a in profiles.bits(plus):
-        accepted &= final[a]
-    for a in profiles.bits(minus):
-        accepted &= ~final[a]
-    return accepted
+    return _objective_met(instance, final, every)
 
 
 # bribery_sliced and microbribery_sliced take the oracle's stream in windows of

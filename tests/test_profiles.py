@@ -449,7 +449,7 @@ def test_slice_basis_puts_each_subset_at_its_position():
 def test_eval_sliced_matches_eval_mask_exhaustively():
     # every binary profile up to n = 3 under every valid rule, and every
     # ternary profile up to n = 2 (star diagonals, s' given and *), on all
-    # subsets at once
+    # subsets at once, in slice_basis's order and reversed
     checked = 0
     for kind, values, top in (("binary", (1, -1), 3), ("ternary", (1, -1, 0), 2)):
         for n in range(top + 1):
@@ -457,14 +457,14 @@ def test_eval_sliced_matches_eval_mask_exhaustively():
             for cells in itertools.product(values, repeat=n * n):
                 p = make_profile([cells[a * n:(a + 1) * n] for a in range(n)], kind=kind)
                 for rule in valid_rules(n, kind):
-                    _assert_sliced_matches(rule, p, [xs])
+                    _assert_sliced_matches(rule, p, [xs, xs[::-1]])
                     checked += 1
     assert checked == 7836
 
 
 def test_eval_sliced_matches_eval_mask_on_seeded_profiles():
-    # n = 4 to 6, on the subsets and on arbitrary population families; a
-    # column-local rule computes only the columns asked for
+    # n = 4 to 6, on the subsets in both orders and on arbitrary population
+    # families; a column-local rule computes only the columns asked for
     rng = random.Random(1806)
     for n in (4, 5, 6):
         every, xs = profiles.slice_basis(n)
@@ -474,7 +474,7 @@ def test_eval_sliced_matches_eval_mask_on_seeded_profiles():
                                                   seed=rng.randrange(1 << 30))
                 for rule in valid_rules(n, kind):
                     mixed = [rng.randrange(every + 1) for _ in range(n)]
-                    _assert_sliced_matches(rule, p, [xs, mixed])
+                    _assert_sliced_matches(rule, p, [xs, xs[::-1], mixed])
                     if rule.column_local:
                         columns = rng.sample(range(n), 2)
                         whole = profiles.eval_sliced(rule, mixed, p)

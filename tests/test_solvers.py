@@ -43,7 +43,6 @@ from gidsolve.oracle import (
 )
 from gidsolve.solvers import (
     IMMUNITY_TABLE,
-    _first_accepted,
     ORACLE_FOR_FAMILY,
     ORACLES,
     SOLVERS,
@@ -1083,7 +1082,18 @@ def test_gcpi_sliced_matches_control_brute():
                         search = SearchBudget(node_limit=limit)
                         got = _outcome(solve_gcpi_sliced.run, instance, search)
                         assert got == _outcome(solve_control_brute, instance, search), (instance, limit)
-                        yes += limit is None and got[0] == "YES"
+                    answer, witness = _outcome(solve_gcpi_sliced.run, instance, oracle.DEFAULT_SEARCH)
+                    if answer != "YES":
+                        continue
+                    yes += 1
+                    # the witness is the rank-th candidate: both count it
+                    # and refuse one node short, across size levels too
+                    rank = list(_partition_candidates(n)).index(profiles.mask_of(witness.members)) + 1
+                    for limit, want in ((rank, ("YES", witness)),
+                                        (rank - 1, ("refused", "candidate count exceeded node limit %d" % (rank - 1)))):
+                        search = SearchBudget(node_limit=limit)
+                        assert _outcome(solve_gcpi_sliced.run, instance, search) == want, (instance, limit)
+                        assert _outcome(solve_control_brute, instance, search) == want, (instance, limit)
     assert searched > 300 and 0 < yes < searched, (searched, yes)
     # wider slices: 2^12 positions mirror across many bytes
     wide = 0
@@ -1096,42 +1106,20 @@ def test_gcpi_sliced_matches_control_brute():
     assert wide == 4
 
 
-def test_first_accepted_ranks_as_the_candidate_order():
-    # the first accepted position and its count, as a walk over an oracle's
-    # candidates finds them, or the candidate count when none is accepted:
-    # oracle._partition_candidates, every position holding individual 0
-    # feasible, and oracle._subsets with the sets over budget skipped, as
-    # bribery_brute skips them; every accepted mask up to n = 3 (and every
-    # non-empty one over the partitions at n = 4), then seeded ones up to
-    # n = 10
-    def walk(accepted, candidates):
-        count = 0
-        for count, u in enumerate(candidates, 1):
-            if accepted >> u & 1:
-                return count, u
-        return count, None
-
-    rng = random.Random(1920)
-    for n in range(11):
+def test_sliced_sizes_lay_the_partitions_out_in_control_brute_order():
+    # _sliced_sizes(n)[k] holds the positions with k members; the levels
+    # upward, each level's positions holding individual 0 downward in the
+    # reversed basis, are _partition_candidates(n) with individual a on bit
+    # n - 1 - a
+    for n in range(8):
+        levels = profiles._sliced_sizes(n)
+        assert levels == tuple(profiles.mask_of(u for u in range(1 << n) if u.bit_count() == k)
+                               for k in range(n + 1))
         every, xs = profiles.slice_basis(n)
-        orders = [(list(_partition_candidates(n)), xs[0] if n else every, xs[1:])]
-        for _ in range(3 if n <= 8 else 1):
-            prices = [rng.randint(1, 3) if rng.random() < 0.5 else 1 for _ in range(n)]
-            budget = rng.randint(0, n + 1)
-            sets = [profiles.mask_of(members) for members in _subsets(range(n), min(budget, n))
-                    if sum(prices[a] for a in members) <= budget]
-            orders.append((sets, profiles.mask_of(sets), xs))
-        for candidates, feasible, order in orders:
-            if n <= 3:
-                picks = range(1 << (1 << n))
-            elif n == 4 and order is not xs:
-                picks = (profiles.mask_of(u for i, u in enumerate(candidates) if pick >> i & 1)
-                         for pick in range(1, 1 << len(candidates)))
-            else:
-                picks = [profiles.mask_of(rng.sample(range(1 << n), rng.choice((1, 2, 5, 1 << (n - 2)))))
-                         for _ in range(200)]
-            for accepted in picks:
-                assert _first_accepted(accepted, feasible, order) == walk(accepted, candidates), (n, accepted)
+        pinned = xs[-1] if n else every
+        walk = [u for level in levels for u in reversed(list(profiles.bits(level & pinned)))]
+        assert [profiles.mask_of(n - 1 - b for b in profiles.bits(u)) for u in walk] == list(
+            _partition_candidates(n)), n
 
 
 def test_gcpi_sliced_ranks_a_deep_witness_at_n16():
