@@ -57,7 +57,13 @@ from .profiles import Profile, SocialRule, bits, ensure_applicable, full_mask, m
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """One search's node limit, None for unbounded; charge is the one refusal rule."""
     node_limit: int | None = None
+
+    def charge(self, nodes: int, what: str = "candidate count exceeded") -> None:
+        """Refuse nodes past the limit with InstanceTooLarge("<what> node limit N")."""
+        if self.node_limit is not None and nodes > self.node_limit:
+            raise InstanceTooLarge("%s node limit %d" % (what, self.node_limit))
 
 
 DEFAULT_SEARCH = SearchBudget()
@@ -98,25 +104,28 @@ def _partition_candidates(n: int):
 def _first_witness(instance: AttackInstance, candidates, search: SearchBudget) -> Verdict:
     """The one enumerate-and-judge loop.
 
-    Each candidate counts one node against the limit.  The judge is built,
-    with its one applicability check, at the first candidate, so a search
-    with no candidates raises nothing.  A population or partition mask is
-    judged on the instance's profile, replaced rows on the profile
-    Profile._derive makes from them, and a column-local bribery candidate
-    (bribed, template, diag_pos, diag_known) on the target columns alone
-    (_target_column_judge), so no profile is derived for it.  The first
-    accepted candidate is turned into its Solution, re-verified once by
-    check_witness, and returned; a rejected candidate never becomes a
-    Solution.
+    Each candidate counts one node.  At most node_limit candidates are
+    judged; a further one is charged as node_limit + 1, so limit 0 refuses
+    before the judge is built.  The judge is built, with its one
+    applicability check, at the first judged candidate, so a search with no
+    candidates raises nothing.  A population or partition mask is judged on
+    the instance's profile, replaced rows on the profile Profile._derive
+    makes from them, and a column-local bribery candidate (bribed, template,
+    diag_pos, diag_known) on the target columns alone (_target_column_judge),
+    so no profile is derived for it.  The first accepted candidate is turned
+    into its Solution, re-verified once by check_witness, and returned; a
+    rejected candidate never becomes a Solution.
     """
+    stream = iter(candidates)
     judge = None
-    for count, candidate in enumerate(candidates, 1):
-        if search.node_limit is not None and count > search.node_limit:
-            raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
+    for candidate in itertools.islice(stream, search.node_limit):
         if judge is None:
             judge = _candidate_judge(instance)
         if judge(candidate):
             return _verified_yes(instance, _solution_of(instance, candidate))
+    # no candidate is None, so None here means the stream has ended
+    if search.node_limit is not None and next(stream, None) is not None:
+        search.charge(search.node_limit + 1)
     return NO_VERDICT
 
 
@@ -380,8 +389,7 @@ def _r_extension_needs(profile: Profile, r: int, search: SearchBudget) -> list[i
     if search.node_limit is not None:
         total = math.prod(math.comb(profile.n - known.bit_count(), need)
                           for known, need in zip(profile.row_known, needs))
-        if total > search.node_limit:
-            raise InstanceTooLarge("%d r-extensions exceed node limit %d" % (total, search.node_limit))
+        search.charge(total, "%d r-extensions exceed" % total)
     return needs
 
 
@@ -399,8 +407,7 @@ def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = No
         needs = _r_extension_needs(profile, r, search)
     else:
         unknown = sum(profile.n - known.bit_count() for known in profile.row_known)
-        if search.node_limit is not None and 2 ** unknown > search.node_limit:
-            raise InstanceTooLarge("2^%d extensions exceed node limit %d" % (unknown, search.node_limit))
+        search.charge(2 ** unknown, "2^%d extensions exceed" % unknown)
         needs = (None,) * profile.n
     # every extension is binary on the same n, so this one check is the
     # applicability check of each of them, which eval_mask relies on

@@ -315,13 +315,9 @@ class SocialRule:
             _check_quota("s'", s_prime)
         return SocialRule("ternary", s=s, t=t, s_prime=s_prime)
 
-    def majority_quota(self, n: int) -> int:
-        # ceil((n + 1) / 2)
-        return (n + 2) // 2
-
     def effective_s_prime(self, n: int) -> int:
         if self.s_prime is None:
-            return self.majority_quota(n)
+            return (n + 2) // 2  # ceil((n + 1) / 2)
         return self.s_prime
 
     def ensure_quota_bound(self, n: int):

@@ -450,14 +450,14 @@ def build_ilp_model(instance: AttackInstance) -> IlpModel:
     )
 
 
-def solve_ilp_model(model: IlpModel, node_limit: int | None = None):
+def solve_ilp_model(model: IlpModel, search: SearchBudget = DEFAULT_SEARCH):
     """Depth-first search over group counts with simple capacity pruning.
 
     The search carries each lower row's remaining need and each upper row's
     remaining room, and prunes a node when a need exceeds what the later
     groups and the budget left can still supply, or a room is below 0.  At
     j = k the later groups supply nothing, so a node past the prune there is
-    a solution.
+    a solution.  Every node, pruned or not, is charged to search.
     """
     k = len(model.betas)
     counts = model.counts
@@ -474,8 +474,7 @@ def solve_ilp_model(model: IlpModel, node_limit: int | None = None):
     def dfs(j, left, need, room):
         nonlocal nodes
         nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            raise InstanceTooLarge("ilp search exceeded node limit %d" % node_limit)
+        search.charge(nodes, "ilp search exceeded")
         if any(min(cap[j], left) < x for cap, x in zip(supply, need)) or any(x < 0 for x in room):
             return None
         if j == k:
@@ -504,7 +503,7 @@ def _fpt_ilp(instance: AttackInstance, search: SearchBudget) -> Verdict:
     model = build_ilp_model(instance)
     if len(model.betas) > FPT_BETA_CAP:
         raise InstanceTooLarge("%d opinion signatures exceed cap %d" % (len(model.betas), FPT_BETA_CAP))
-    assignment = solve_ilp_model(model, node_limit=search.node_limit)
+    assignment = solve_ilp_model(model, search)
     if assignment is None:
         return NO_VERDICT
     picked = []
@@ -573,8 +572,7 @@ def _gcpi_sliced(instance: AttackInstance, search: SearchBudget) -> Verdict:
             examined += (level >> witness).bit_count()
             break
         examined += level.bit_count()
-    if search.node_limit is not None and examined > search.node_limit:
-        raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
+    search.charge(examined)
     if witness is None:
         return NO_VERDICT
     return _verified_yes(instance, Solution.partition(n - 1 - b for b in profiles.bits(witness)))
@@ -622,8 +620,7 @@ def _first_sliced(instance: AttackInstance, prices, approvals_of, search: Search
         accepted = _sequential_accepted(instance, approvals_of([int(d, 2) for d in digits], every), every)
         u = (accepted & -accepted).bit_length() - 1
         examined += u + 1 if accepted else width
-        if search.node_limit is not None and examined > search.node_limit:
-            raise InstanceTooLarge("candidate count exceeded node limit %d" % search.node_limit)
+        search.charge(examined)
         if accepted:
             return window[u]
         size = min(2 * size, cap)

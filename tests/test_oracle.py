@@ -11,6 +11,7 @@ from gidsolve.errors import (
     NoRExtension,
     PreconditionViolated,
     QuotaConstraintViolated,
+    RuleNotApplicable,
     WrongKind,
 )
 from gidsolve.generators import gen_random_profile, gen_rx3c, gen_rx3c_no, rx3c_to_cgb
@@ -31,7 +32,7 @@ from gidsolve.oracle import (
     solve_control_brute,
     solve_microbribery_brute,
 )
-from gidsolve.profiles import Profile, SocialRule, make_profile, negate
+from gidsolve.profiles import Profile, SocialRule, full_mask, make_profile, negate
 from gidsolve.solvers import ORACLE_FOR_FAMILY, ORACLES, solve_cgb_xp
 
 from helpers import ex1, valid_rules
@@ -323,6 +324,31 @@ def test_node_limit_enforced():
         refusal = "candidate count exceeded node limit %d" % (candidates - 1)
         with pytest.raises(InstanceTooLarge, match=refusal):
             solve(instance, SearchBudget(node_limit=candidates - 1))
+
+
+def test_search_budget_charges_past_the_limit():
+    SearchBudget(None).charge(10 ** 9)
+    limit = 5
+    search = SearchBudget(limit)
+    search.charge(limit)
+    with pytest.raises(InstanceTooLarge, match="^candidate count exceeded node limit 5$"):
+        search.charge(limit + 1)
+    with pytest.raises(InstanceTooLarge, match="^ilp search exceeded node limit 5$"):
+        search.charge(limit + 1, "ilp search exceeded")
+    # a list, not an iterator, on a NO instance of test_node_limit_enforced:
+    # the candidate past the limit is still charged
+    inst = make_instance(gen_random_profile(5, seed=87), SocialRule.consent(2, 2), "GCDI",
+                         "constructive", aplus=(0,), budget=3)
+    assert oracle._first_witness(inst, [full_mask(5)] * limit, search) == NO_VERDICT
+    with pytest.raises(InstanceTooLarge, match="^candidate count exceeded node limit 5$"):
+        oracle._first_witness(inst, [full_mask(5)] * (limit + 1), search)
+    # the limit refuses before the judge's applicability check runs
+    partial_inst = make_instance(make_profile([[1, 0], [0, 1]], kind="partial"), SocialRule.consent(1, 1),
+                                 "GCDI", "constructive", aplus=(0,), budget=1)
+    with pytest.raises(InstanceTooLarge):
+        solve_control_brute(partial_inst, SearchBudget(0))
+    with pytest.raises(RuleNotApplicable):
+        solve_control_brute(partial_inst)
 
 
 def test_family_preconditions():

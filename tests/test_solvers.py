@@ -907,9 +907,9 @@ def test_ilp_search_node_counts_pinned():
         instance = make_instance(profiles.make_profile(rows), consent(s, t), family, objective,
                                  aplus=aplus, aminus=aminus, pool=pool, budget=budget)
         model = build_ilp_model(instance)
-        assert solve_ilp_model(model, node_limit=nodes) == want
+        assert solve_ilp_model(model, SearchBudget(nodes)) == want
         with pytest.raises(InstanceTooLarge):
-            solve_ilp_model(model, node_limit=nodes - 1)
+            solve_ilp_model(model, SearchBudget(nodes - 1))
 
 
 def test_fpt_ilp_matches_oracle_gcai():
