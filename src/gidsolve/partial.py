@@ -18,15 +18,15 @@ The unrestricted queries reduce to evaluating one canonical completion:
   disqualifiers and fails as well.  The pessimistic direction is the
   mirror image.
 * Ternary rules carry no quota bound, so neither diagonal choice
-  dominates; the builder instead picks the winning (or spoiling)
+  dominates; the completion instead takes the winning (or spoiling)
   diagonal value per member, which column-locality keeps exact.
 * The consensual and liberal sequential rules are monotone in the set
   of positive entries, so the all-+1 completion maximises and the
   all--1 completion minimises the outcome over all completions.
 
-Both completions come from one builder over the row masks.  Past its
-guards every route works on the checked query mask and judges each
-completion on the query columns only; csr and lsr compute every member.
+Only csr/lsr's all-+1 completion is built; the others are read off the
+partial profile's masks.  Past its guards every route works on the checked
+query mask and judges the query columns only; csr and lsr judge everyone.
 The r-restricted consent solvers run on flow feasibility over the unknown
 cells of S-columns (possible) and on per-column forced and dodgeable
 masks (necessary).  For csr and lsr every r-extension lies between the
@@ -177,25 +177,29 @@ def _check_query(profile: Profile, subset, rule: SocialRule) -> int:
     return wanted
 
 
+def _flips_diagonal(rule: SocialRule, n: int, quals_off: int) -> bool:
+    """Whether a member's unknown diagonal takes -sign in a canonical completion
+    with quals_off off-diagonal +1 cells in its column: only -1 qualifies where
+    +1 misses s and -1 stays under t (never under consent's quota bound)."""
+    return quals_off + 1 < rule.s and n - quals_off < rule.t
+
+
 def _extension(profile: Profile, wanted: int, rule: SocialRule, sign: int) -> Profile:
     """Binary completion resolving the unknowns to sign, for or against the
-    checked query mask wanted; _qualifies judges it on the query columns.
+    checked query mask wanted.
 
     For sign = +1 an unknown (b, a) turns +1 in every column under csr/lsr
     and in the members' columns otherwise, and -1 elsewhere; for sign = -1
-    every unknown turns -1.
+    every unknown turns -1, but a ternary member's unknown diagonal takes
+    -sign where _flips_diagonal says so.
     """
     n = profile.n
     full = full_mask(n)
     favoured = 0 if sign < 0 else (wanted if rule.column_local else full)
     pos = [rp | (~rk & favoured) for rp, rk in zip(profile.row_pos, profile.row_known)]
     if rule.variant == "ternary":
-        # no quota bound, so neither diagonal value dominates: where +1 misses
-        # the s quota and -1 stays under the t quota, only -1 qualifies a, and
-        # the unknown diagonal takes -sign
         for a in bits(wanted & ~profile.diag_known):
-            quals_off = sum(pos[b] >> a & 1 for b in range(n) if b != a)
-            if quals_off + 1 < rule.s and n - quals_off < rule.t:
+            if _flips_diagonal(rule, n, sum(pos[b] >> a & 1 for b in range(n) if b != a)):
                 pos[a] ^= 1 << a
     return Profile(n=n, kind="binary", names=profile.names, row_pos=tuple(pos), row_known=(full,) * n)
 
@@ -217,22 +221,37 @@ def _plain_query_guards(profile: Profile, query: PartialQuery, mode: str):
         raise PreconditionViolated("r-restricted queries use the r_* solvers")
 
 
-def _qualifies(rule: SocialRule, completion: Profile, wanted: int) -> bool:
-    """The one completion test: all of wanted qualifies, judged on its columns
-    (pqi and nqi build the completion first, checking the set mask_of reads)."""
-    return not wanted & ~eval_mask(rule, full_mask(completion.n), completion, wanted)
+def _completion_qualifies(profile: Profile, wanted: int, rule: SocialRule, sign: int) -> bool:
+    """Whether all of wanted qualifies in _extension(profile, wanted, rule, sign),
+    read off the profile: column-local rules complete each member's column from
+    the column views, and csr/lsr, which read only the +1 cells of row_pos and
+    diag_pos, take the profile itself as their all--1 completion."""
+    n = profile.n
+    full = full_mask(n)
+    if not rule.column_local:
+        completion = profile if sign < 0 else _extension(profile, wanted, rule, sign)
+        return not wanted & ~eval_mask(rule, full, completion)
+    col_pos, col_known = profile._columns()
+    for a in bits(wanted):
+        bit = 1 << a
+        col = col_pos[a] | (full & ~col_known[a] if sign > 0 else 0)
+        if not profile.diag_known & bit and _flips_diagonal(rule, n, (col & ~bit).bit_count()):
+            col ^= bit
+        if not (col.bit_count() >= rule.s if col & bit else n - col.bit_count() < rule.t):
+            return False
+    return True
 
 
 def pqi(profile: Profile, query: PartialQuery, rule: SocialRule) -> bool:
     """Possible qualification: some completion qualifies all of S."""
     _plain_query_guards(profile, query, PQI)
-    return _qualifies(rule, optimistic_extension(profile, query.subset, rule), mask_of(query.subset))
+    return _completion_qualifies(profile, _check_query(profile, query.subset, rule), rule, 1)
 
 
 def nqi(profile: Profile, query: PartialQuery, rule: SocialRule) -> bool:
     """Necessary qualification: every completion qualifies all of S."""
     _plain_query_guards(profile, query, NQI)
-    return _qualifies(rule, pessimistic_extension(profile, query.subset, rule), mask_of(query.subset))
+    return _completion_qualifies(profile, _check_query(profile, query.subset, rule), rule, -1)
 
 
 def _star_flow_value(profile: Profile, wanted: int, needs: list[int], demands: dict[int, int]) -> bool:
@@ -409,9 +428,9 @@ def r_sequential(profile: Profile, subset, r: int, rule: SocialRule, mode: str,
         return True  # the empty set qualifies under every completion
     if r == 1 and mode == PQI:
         return _r1_sequential(profile, wanted, rule, mask_of(b for b, need in enumerate(needs) if need))
-    if _qualifies(rule, _extension(profile, wanted, rule, -1), wanted):
+    if _completion_qualifies(profile, wanted, rule, -1):
         return True
-    if not _qualifies(rule, _extension(profile, wanted, rule, 1), wanted):
+    if not _completion_qualifies(profile, wanted, rule, 1):
         return False
     return None
 

@@ -302,6 +302,35 @@ def test_pqi_monotone_under_supporting_resolutions():
         checked += 1
 
 
+def test_plain_queries_build_no_completion(monkeypatch):
+    # consent/ternary queries read the partial profile's column views, built
+    # once for all four; csr/lsr NQI judges the profile itself
+    rows = [[1, 0, -1], [0, 0, 1], [-1, 1, 0]]
+    cases = [(PartialQuery({0, 1}, mode), rule)
+             for rule in (consent(2, 2), SocialRule.ternary(4, None, 3)) for mode in (PQI, NQI)]
+    cases += [(PartialQuery({1}, NQI), rule) for rule in (SocialRule.csr(), SocialRule.lsr())]
+    reference = make_profile(rows, kind="partial")
+    expected = [(pqi_nqi_brute(reference, query.subset, rule)[query.mode == NQI], query.mode.lower())
+                for query, rule in cases]
+
+    def no_completion(*args):
+        raise AssertionError("a completion was built")
+
+    built = []
+    original = partial.Profile._columns
+
+    def counting(self):
+        if self._col_views is None:
+            built.append(self)
+        return original(self)
+
+    monkeypatch.setattr(partial, "_extension", no_completion)
+    monkeypatch.setattr(partial.Profile, "_columns", counting)
+    profile = make_profile(rows, kind="partial")
+    assert [answer_query(profile, query, rule) for query, rule in cases] == expected
+    assert len(built) == 1 and built[0] is profile
+
+
 # ---------------------------------------------------------- r-restricted
 
 
@@ -584,10 +613,10 @@ def test_every_route_names_the_same_out_of_range_index():
 
 
 def query_rules(n):
-    """csr, lsr, every consent pair within the quota bound, ternary (s, *, t) for s, t <= 2."""
+    """csr, lsr, every consent pair within the quota bound, ternary (s, *, t) for s, t <= n + 2."""
     rules = [SocialRule.csr(), SocialRule.lsr()]
     rules += [consent(s, t) for s in range(1, n + 2) for t in range(1, n + 3 - s)]
-    rules += [SocialRule.ternary(s, None, t) for s in (1, 2) for t in (1, 2)]
+    rules += [SocialRule.ternary(s, None, t) for s in range(1, n + 3) for t in range(1, n + 3)]
     return rules
 
 
@@ -630,7 +659,7 @@ def test_every_query_route_matches_brute_exhaustively_up_to_n2():
                     for r in [None, *range(1, n + 1)]:
                         check_query_routes(profile, subset, rule, r)
                         queries += 2
-    assert queries == 17604
+    assert queries == 35160
 
 
 def test_every_query_route_matches_brute_on_n3_sample():
