@@ -52,7 +52,7 @@ from .instances import (
     check_witness,
     control_domain,
 )
-from .profiles import Profile, SocialRule, bits, ensure_applicable, full_mask, mask_of, row_cells
+from .profiles import Profile, SocialRule, _column_qualifies, bits, ensure_applicable, full_mask, mask_of, row_cells
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,9 @@ def _target_column_judge(instance: AttackInstance):
     a casts the template's bit a, a's own cell is its diagonal pick when a
     is bribed, and every other cell is the instance's.  Building the judge
     runs _judge's applicability check: the bribed profile keeps n and kind.
-    The targets are judged in ascending order, with the three diagonal cases
-    of profiles._quota_mask counted over N, and the first target whose
-    status misses the objective rejects the candidate.
+    The targets are judged in ascending order, each by
+    profiles._column_qualifies on its patched column over N, and the first
+    target whose status misses the objective rejects the candidate.
     """
     rule = instance.rule
     p = instance.profile
@@ -161,8 +161,9 @@ def _target_column_judge(instance: AttackInstance):
     plus, minus = instance._target_masks
     col_pos, col_known = p._columns()
     columns = [(1 << a, col_pos[a], col_known[a], bool(plus >> a & 1)) for a in bits(plus | minus)]
-    s = rule.s
-    t = rule.t
+    n = p.n
+    # bound once: the judge runs once per candidate
+    qualifies = _column_qualifies
 
     def judge(candidate) -> bool:
         bribed, template, diag_pos, diag_known = candidate
@@ -171,14 +172,8 @@ def _target_column_judge(instance: AttackInstance):
         for bit, cpos, cknown, wanted in columns:
             others = bribed & ~bit
             pos = (cpos & ~bribed) | (others if template & bit else 0) | (diag_pos & bit)
-            if diag_pos & bit:
-                qualified = pos.bit_count() >= s
-            elif diag_known & bit:
-                known = (cknown & ~bribed) | others | (diag_known & bit)
-                qualified = (known & ~pos).bit_count() < t
-            else:
-                qualified = pos.bit_count() >= rule.effective_s_prime(p.n)
-            if qualified is not wanted:
+            known = (cknown & ~bribed) | others | (diag_known & bit)
+            if qualifies(rule, n, bit, pos, known) is not wanted:
                 return False
         return True
 

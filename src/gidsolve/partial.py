@@ -18,8 +18,9 @@ The unrestricted queries reduce to evaluating one canonical completion:
   disqualifiers and fails as well.  The pessimistic direction is the
   mirror image.
 * Ternary rules carry no quota bound, so neither diagonal choice
-  dominates; the completion instead takes the winning (or spoiling)
-  diagonal value per member, which column-locality keeps exact.
+  dominates: an unknown diagonal qualifies possibly when some value
+  does and necessarily when every value does, which column-locality
+  keeps exact.
 * The consensual and liberal sequential rules are monotone in the set
   of positive entries, so the all-+1 completion maximises and the
   all--1 completion minimises the outcome over all completions.
@@ -57,7 +58,7 @@ from .oracle import (
     pqi_nqi_brute,
     row_needs,
 )
-from .profiles import Profile, SocialRule, bits, eval_mask, full_mask, mask_of
+from .profiles import Profile, SocialRule, _column_qualifies, bits, eval_mask, full_mask, mask_of
 
 PQI = "PQI"
 NQI = "NQI"
@@ -178,9 +179,10 @@ def _check_query(profile: Profile, subset, rule: SocialRule) -> int:
 
 
 def _flips_diagonal(rule: SocialRule, n: int, quals_off: int) -> bool:
-    """Whether a member's unknown diagonal takes -sign in a canonical completion
-    with quals_off off-diagonal +1 cells in its column: only -1 qualifies where
-    +1 misses s and -1 stays under t (never under consent's quota bound)."""
+    """Whether a member's unknown diagonal takes -sign in _extension's canonical
+    completion with quals_off off-diagonal +1 cells in its column: only -1
+    qualifies where +1 misses s and -1 stays under t (never under consent's
+    quota bound).  Only the reference builder _extension reads it."""
     return quals_off + 1 < rule.s and n - quals_off < rule.t
 
 
@@ -225,7 +227,9 @@ def _completion_qualifies(profile: Profile, wanted: int, rule: SocialRule, sign:
     """Whether all of wanted qualifies in _extension(profile, wanted, rule, sign),
     read off the profile: column-local rules complete each member's column from
     the column views, and csr/lsr, which read only the +1 cells of row_pos and
-    diag_pos, take the profile itself as their all--1 completion."""
+    diag_pos, take the profile itself as their all--1 completion.  A member with
+    an unknown diagonal qualifies at sign +1 when some value of it qualifies the
+    member, and at sign -1 when every value does."""
     n = profile.n
     full = full_mask(n)
     if not rule.column_local:
@@ -235,9 +239,13 @@ def _completion_qualifies(profile: Profile, wanted: int, rule: SocialRule, sign:
     for a in bits(wanted):
         bit = 1 << a
         col = col_pos[a] | (full & ~col_known[a] if sign > 0 else 0)
-        if not profile.diag_known & bit and _flips_diagonal(rule, n, (col & ~bit).bit_count()):
-            col ^= bit
-        if not (col.bit_count() >= rule.s if col & bit else n - col.bit_count() < rule.t):
+        if profile.diag_known & bit:
+            qualified = _column_qualifies(rule, n, bit, col, full)
+        else:
+            as_plus = _column_qualifies(rule, n, bit, col | bit, full)
+            as_minus = _column_qualifies(rule, n, bit, col & ~bit, full)
+            qualified = as_plus or as_minus if sign > 0 else as_plus and as_minus
+        if not qualified:
             return False
     return True
 
@@ -370,24 +378,18 @@ def r_nqi(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
                         if need == n - known.bit_count())
     if not rule.column_local:
         return _r1_sequential(profile, wanted, rule, spend_all)
+    full = full_mask(n)
+    # the diagonal values each row can still take: an unknown diagonal can
+    # turn +1 in a row with a need, and -1 in a row that need not spend all
+    takes_plus = profile.diag_pos | (mask_of(b for b, need in enumerate(needs) if need) & ~profile.diag_known)
+    takes_minus = full & ~profile.diag_pos & ~(spend_all & ~profile.diag_known)
     for a in bits(wanted):
         bit = 1 << a
-        forced = profile.col_pos[a] | (~profile.col_known[a] & spend_all)
-        quals_off = (forced & ~bit).bit_count()
-        loses_as_plus = 1 + quals_off < rule.s
-        # the n - 1 - quals_off dodgeable cells plus a's own -1
-        loses_as_minus = n - quals_off >= rule.t
-        if profile.diag_pos & bit:
-            if loses_as_plus:
-                return False
-        elif profile.diag_known & bit:
-            if loses_as_minus:
-                return False
-        else:
-            if not spend_all & bit and loses_as_minus:
-                return False
-            if needs[a] >= 1 and loses_as_plus:
-                return False
+        # the forced off-diagonal +1 cells; every other cell dodges to -1
+        worst = (profile.col_pos[a] | (~profile.col_known[a] & spend_all)) & ~bit
+        if (takes_plus & bit and not _column_qualifies(rule, n, bit, worst | bit, full)
+                or takes_minus & bit and not _column_qualifies(rule, n, bit, worst, full)):
+            return False
     return True
 
 

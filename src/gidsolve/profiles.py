@@ -25,7 +25,9 @@ the column views only when the parent has built them.
 csr and lsr read rows only: a member joins once an already qualified member
 approves them, so each round is an OR of rows.  A column-local rule reads
 one column per member, so eval_mask and eval_sliced can decide only the
-columns a caller reads, such as the targets of an attack.
+columns a caller reads, such as the targets of an attack.  Every scalar
+judge states its quota test through _column_qualifies; eval_sliced, which
+counts positions rather than members, states it bit-sliced.
 
 eval_sliced evaluates a rule on many populations at once: one int per
 individual, with bit u standing for the u-th population, such as the
@@ -399,52 +401,50 @@ def eval_mask(rule: SocialRule, t_mask: int, profile: Profile, columns: int | No
 
     Callers run ensure_applicable once and may then evaluate any number of
     masks and profiles of the same n and kind.  A column-local rule decides
-    only the members of T in the columns mask (all of T when None) and
-    leaves the rest out of the result, as eval_sliced does; csr and lsr
-    compute every member, because qualification spreads along rows.
+    only the members of T in the columns mask (all of T when None), each by
+    _column_qualifies over T, and leaves the rest out of the result, as
+    eval_sliced does; csr and lsr compute every member, because
+    qualification spreads along rows.
     """
-    if rule.column_local:
-        return _quota_mask(rule, t_mask, profile, t_mask if columns is None else t_mask & columns)
-    return _sequential_rounds(rule.variant, t_mask, profile)[-1]
-
-
-def _quota_mask(rule: SocialRule, t_mask: int, profile: Profile, members: int) -> int:
-    """consent(s, t) and ternary(s, s', t) on T, column by column.
-
-    A member of T stands by its own diagonal once that side's count in its
-    column, over T, reaches a quota.  Three diagonal cases:
-
-    * self-approver (+1): qualified with at least s approvals;
-    * self-disapprover (-1): disqualified with at least t disapprovals;
-    * indifferent (star, ternary profiles only): qualified with at least
-      s' approvals.
-
-    Consent is the star-free case: binary profiles know every diagonal, so
-    s' is read only on ternary profiles.  Only the columns of members, a
-    submask of T, are decided; the counts still run over the whole of T.
-    """
+    if not rule.column_local:
+        return _sequential_rounds(rule.variant, t_mask, profile)[-1]
     col_pos, col_known = profile._columns()
-    diag_pos = profile.diag_pos
-    diag_known = profile.diag_known
-    s = rule.s
-    t = rule.t
+    n = profile.n
     result = 0
     # bits() inlined here and in _sequential_rounds: they run once per
     # candidate witness in the oracles
-    rest = members
+    rest = t_mask if columns is None else t_mask & columns
     while rest:
         bit = rest & -rest
         rest ^= bit
         a = bit.bit_length() - 1
-        if diag_pos & bit:
-            if (col_pos[a] & t_mask).bit_count() >= s:
-                result |= bit
-        elif diag_known & bit:
-            if (col_known[a] & ~col_pos[a] & t_mask).bit_count() < t:
-                result |= bit
-        elif (col_pos[a] & t_mask).bit_count() >= rule.effective_s_prime(profile.n):
+        if _column_qualifies(rule, n, bit, col_pos[a] & t_mask, col_known[a] & t_mask):
             result |= bit
     return result
+
+
+def _column_qualifies(rule: SocialRule, n: int, bit: int, pos: int, known: int) -> bool:
+    """Whether the member on bit qualifies under consent(s, t) or
+    ternary(s, s', t) in a column whose +1 cells are pos and known cells
+    known, both over the voters that count (T, or every individual).
+
+    The one statement of the quota test.  A member stands by its own
+    diagonal once that side's count in its column reaches a quota.  Three
+    diagonal cases:
+
+    * self-approver (+1): qualified with at least s approvals;
+    * self-disapprover (-1): disqualified with at least t disapprovals;
+    * indifferent (star, ternary profiles only): qualified with at least
+      s' approvals, s' read from n.
+
+    Consent is the star-free case: binary profiles know every diagonal, so
+    s' is read only on ternary profiles.
+    """
+    if pos & bit:
+        return pos.bit_count() >= rule.s
+    if known & bit:
+        return (known & ~pos).bit_count() < rule.t
+    return pos.bit_count() >= rule.effective_s_prime(n)
 
 
 def _sequential_rounds(variant: str, t_mask: int, profile: Profile) -> list[int]:
@@ -534,7 +534,8 @@ def eval_sliced(rule: SocialRule, populations, profile: Profile, columns=None) -
     reverse, or any other); the result has the same layout, bit u of
     result[a] set iff a is in the rule's result on the u-th population.  A
     column-local rule computes only the given columns (all when None) and
-    leaves the rest 0; csr and lsr always compute every column.  Assumes
+    leaves the rest 0, counting _column_qualifies's quotas by
+    _sliced_at_least; csr and lsr always compute every column.  Assumes
     rule applicability was checked, as eval_mask does.
     """
     n = profile.n
@@ -545,13 +546,11 @@ def eval_sliced(rule: SocialRule, populations, profile: Profile, columns=None) -
         diag_known = profile.diag_known
         for a in range(n) if columns is None else columns:
             bit = 1 << a
-            if diag_pos & bit:
-                out[a] = populations[a] & _sliced_at_least(populations, col_pos[a], rule.s)
-            elif diag_known & bit:
+            if diag_known & ~diag_pos & bit:
                 against = col_known[a] & ~col_pos[a]
                 out[a] = populations[a] & ~_sliced_at_least(populations, against, rule.t)
             else:
-                quota = rule.effective_s_prime(n)
+                quota = rule.s if diag_pos & bit else rule.effective_s_prime(n)
                 out[a] = populations[a] & _sliced_at_least(populations, col_pos[a], quota)
         return out
     row_pos = profile.row_pos

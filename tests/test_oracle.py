@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -606,6 +607,49 @@ def test_oracles_skip_public_eval(monkeypatch):
         assert calls == [], expected
 
 
+
+def test_every_column_local_judge_calls_the_one_quota_test(monkeypatch):
+    # profiles._column_qualifies wrapped with a counter in every module that
+    # binds it: each scalar column-local judge must reach it once per column
+    # it decides, so no judge keeps a private copy of the quota test
+    original = profiles._column_qualifies
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    binders = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("gidsolve.") and getattr(m, "_column_qualifies", None) is original]
+    assert {m.__name__ for m in binders} >= {"gidsolve.profiles", "gidsolve.oracle", "gidsolve.partial"}
+    for module in binders:
+        monkeypatch.setattr(module, "_column_qualifies", counting)
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    consent21 = SocialRule.consent(2, 1)
+    binary = make_profile([[1, 1, -1], [1, -1, 1], [-1, 1, 1]])
+    star = make_profile([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], kind="ternary")
+    assert count(lambda: profiles.eval_mask(consent21, 0b111, binary)) == 3
+    assert count(lambda: profiles.eval_mask(SocialRule.ternary(1, None, 1), 0b111, star)) == 3
+    # a2 disapproves of itself, which t = 1 disqualifies: budget 0 judges the
+    # empty bribe alone, on the one target column, and check_witness never runs
+    gb = make_instance(binary, consent21, "GB", "constructive", aplus=(1,), budget=0)
+    assert count(lambda: solve_bribery_brute(gb)) == 1
+    assert solve_bribery_brute(gb).answer == "NO"
+    # a1's diagonal is known and judged once, a2's is unknown and judged as
+    # either value by pqi and nqi; r_nqi judges a2 as -1 alone, as its row
+    # has no +1 left to place
+    unset = make_profile([[1, 0, 0], [0, 0, 1], [0, 1, -1]], kind="partial")
+    consent12 = SocialRule.consent(1, 2)
+    for mode, judge in ((partial.PQI, partial.pqi), (partial.NQI, partial.nqi)):
+        assert count(lambda: judge(unset, partial.PartialQuery((0, 1), mode), consent12)) == 3, mode
+    assert count(lambda: partial.r_nqi(unset, (0, 1), 1, consent12)) == 2
+
+
 def _search_candidates(instance):
     """Every candidate the family's oracle, and the cgb_xp/dgb_xp search where
     its quota condition holds, hands the search loop, in order."""
@@ -687,6 +731,24 @@ def test_mask_judge_matches_check_witness_exhaustively():
                 step += 1
                 judged += _assert_judge_agrees(inst)
     assert judged > 20_000
+    # then ternary profiles under valid_rules' ternary quotas, so star
+    # diagonals reach the target-column judge: every profile at n <= 2 with
+    # each family once, and GB on every seventh profile at n = 3
+    judged = {}
+    for n in range(4):
+        rules = valid_rules(n, "ternary")
+        families = FAMILIES if n <= 2 else ("GB",)
+        judged[n] = 0
+        for value in range(0, 3 ** (n * n), 1 if n <= 2 else 7):
+            # cell digit 0 is +1, 1 is -1 and 2 is star
+            digits = [value // 3 ** c % 3 for c in range(n * n)]
+            p = make_profile([[(1, -1, 0)[d] for d in digits[a * n:(a + 1) * n]] for a in range(n)], kind="ternary")
+            for family in families:
+                inst = _agreement_instance(rng, p, rules[step % len(rules)], family, OBJECTIVES[step % 4],
+                                           step % 3 == 0)
+                step += 1
+                judged[n] += _assert_judge_agrees(inst)
+    assert (sum(judged[n] for n in range(3)), judged[3]) == (1332, 43987)
 
 
 def test_mask_judge_matches_check_witness_random():
