@@ -374,20 +374,6 @@ def _query_mask(profile: Profile, subset) -> int:
     return profiles._index_mask(frozenset(subset), profile.n)
 
 
-def _r_extension_needs(profile: Profile, r: int, search: SearchBudget) -> list[int]:
-    """row_needs, refused when the r-extensions outnumber the node limit.
-
-    The one statement of an exactly-r query's refusals after _query_mask's:
-    an invalid r, a row that cannot reach r, then the node limit.
-    """
-    needs = row_needs(profile, r)
-    if search.node_limit is not None:
-        total = math.prod(math.comb(profile.n - known.bit_count(), need)
-                          for known, need in zip(profile.row_known, needs))
-        search.charge(total, "%d r-extensions exceed" % total)
-    return needs
-
-
 def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = None,
                   search: SearchBudget = DEFAULT_SEARCH) -> tuple[bool, bool]:
     """Possible/necessary qualification of a whole set by extension enumeration.
@@ -395,11 +381,16 @@ def pqi_nqi_brute(profile: Profile, subset, rule: SocialRule, r: int | None = No
     One enumerator serves both cases: each row's +1 options are exactly
     need of its unknown cells under r, or any subset of them without r,
     and one product over the rows' options yields every completion.
+    After _query_mask's refusals come an invalid r or a row that cannot
+    reach r (row_needs), then the extension count over the node limit.
     """
     wanted_mask = _query_mask(profile, subset)
     full = full_mask(profile.n)
     if r is not None:
-        needs = _r_extension_needs(profile, r, search)
+        needs = row_needs(profile, r)
+        total = math.prod(math.comb(profile.n - known.bit_count(), need)
+                          for known, need in zip(profile.row_known, needs))
+        search.charge(total, "%d r-extensions exceed" % total)
     else:
         unknown = sum(profile.n - known.bit_count() for known in profile.row_known)
         search.charge(2 ** unknown, "2^%d extensions exceed" % unknown)

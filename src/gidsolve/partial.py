@@ -28,11 +28,12 @@ The unrestricted queries reduce to evaluating one canonical completion:
 Only csr/lsr's all-+1 completion is built; the others are read off the
 partial profile's masks.  Past its guards every route works on the checked
 query mask and judges the query columns only; csr and lsr judge everyone.
-The r-restricted consent solvers run on flow feasibility over the unknown
-cells of S-columns (possible) and on per-column forced and dodgeable
-masks (necessary).  For csr and lsr every r-extension lies between the
-two canonical completions, so they bound the r-restricted queries, and
-at r = 1 each row's single +1 gives closed forms.  `answer_query`
+Exactly-r consent PQI runs one flow over the unknown cells of S-columns per
+combination of the members' live diagonal values (_diagonal_values), and
+NQI reads per-column forced and dodgeable masks.  For csr and lsr every
+r-extension lies between the two canonical completions, so they bound the
+r-restricted queries, and at r = 1 each row's single +1 gives closed forms;
+neither enumerates, so neither charges the node limit.  `answer_query`
 routes to the right specialised routine and falls back to extension
 enumeration where none applies or the bounds leave the answer open.
 """
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -54,7 +56,6 @@ from .oracle import (
     DEFAULT_SEARCH,
     SearchBudget,
     _query_mask,
-    _r_extension_needs,
     pqi_nqi_brute,
     row_needs,
 )
@@ -291,68 +292,73 @@ def _star_flow_value(profile: Profile, wanted: int, needs: list[int], demands: d
 def r_pqi_consent_flow(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     """Possible qualification under exactly-r rows, consent with t = 1.
 
-    This is r_pqi_general's all-+1 branch.  With t = 1 a negative
-    diagonal is hopeless and surplus +1 entries never hurt, so the
-    question is pure supply and demand: route each row's mandatory +1
-    count onto unknown cells of S-columns until every member's approval
-    quota s is met.  Unknown diagonals are forced to +1 and consume one
-    unit of their own row's need up front.
+    With t = 1 a -1 diagonal is never live, so _r_pqi_branches runs one
+    flow: each row's mandatory +1 count goes onto unknown cells of
+    S-columns until every member's approval quota s is met.
     """
     if rule.variant != "consent" or rule.t != 1 or rule.s < 2:
         raise PreconditionViolated("flow solver handles consent rules with t = 1 and s >= 2")
-    return _r_pqi_branches(profile, subset, r, rule, (1,))
+    return _r_pqi_branches(profile, subset, r, rule)
 
 
-R_PQI_BRANCH_CAP = 4096  # diagonal branches r_pqi_general will try before refusing
+R_PQI_BRANCH_CAP = 4096  # live diagonal combinations _r_pqi_branches will try before refusing
 
 
 def r_pqi_general(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
-    """Possible qualification under exactly-r rows, any consent rule.
-
-    Branches over the unknown diagonals of queried members; per branch a
-    member kept positive demands s approvals while a member kept
-    negative demands enough +1 resolutions in its column to push the
-    disqualifier count below t.  Each branch is a flow feasibility
-    check; extra +1 units only ever help, so feasibility is exact.
-    """
+    """Possible qualification under exactly-r rows, any consent rule:
+    _r_pqi_branches over the members' live diagonal values."""
     if rule.variant != "consent":
         raise PreconditionViolated("the general r solver handles consent rules only")
-    return _r_pqi_branches(profile, subset, r, rule, (1, -1))
+    return _r_pqi_branches(profile, subset, r, rule)
 
 
-def _r_pqi_branches(profile: Profile, subset, r: int, rule: SocialRule, values) -> bool:
-    """Try every resolution of the members' unknown diagonals to a value in values.
+def _diagonal_values(profile: Profile, needs: list[int], a: int) -> tuple[bool, bool]:
+    """Whether member a's diagonal is, or can still turn, +1 and -1 in an
+    r-extension whose rows have the given needs: an unknown diagonal can
+    turn +1 only in a row with a need, and -1 only in a row that need not
+    spend every unknown."""
+    bit = 1 << a
+    if profile.diag_known & bit:
+        plus = bool(profile.diag_pos & bit)
+        return plus, not plus
+    return needs[a] > 0, needs[a] < profile.n - profile.row_known[a].bit_count()
 
-    A branch is infeasible outright when a member's demand exceeds the
-    unknown off-diagonal cells of its column, or a forced +1 diagonal
-    overdraws its row; otherwise it is one flow feasibility check.
+
+def _r_pqi_branches(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
+    """One flow feasibility check per combination of the members' live
+    diagonal values, until one succeeds.
+
+    A member kept +1 demands s approvals and spends an unknown diagonal on
+    its row's need; a member kept -1 demands enough +1 resolutions in its
+    column to push the disqualifier count below t.  A value is live when
+    _diagonal_values allows it and its demand fits the member's unknown
+    off-diagonal cells; a member with no live value fails the query.
+    Extra +1 units only ever help, so feasibility is exact.
     """
     wanted = _check_query(profile, subset, rule)
-    base_needs = row_needs(profile, r)
-    star_diags = list(bits(wanted & ~profile.diag_known))
-    branches = len(values) ** len(star_diags)
+    needs = row_needs(profile, r)
+    live = []  # per member, its (member, need spent on the diagonal, demand) values
+    for a in bits(wanted):
+        plus, minus = _diagonal_values(profile, needs, a)
+        star = 0 if profile.diag_known >> a & 1 else 1  # the diagonal counts on its resolved side
+        off_diag_stars = profile.n - profile.col_known[a].bit_count() - star
+        disq = (profile.col_known[a] & ~profile.col_pos[a]).bit_count() + star
+        demands = (max(0, rule.s - profile.col_pos[a].bit_count() - star),
+                   max(0, disq + off_diag_stars - (rule.t - 1)))
+        values = [(a, spent, demand) for takes, spent, demand in zip((plus, minus), (star, 0), demands)
+                  if takes and demand <= off_diag_stars]
+        if not values:
+            return False
+        live.append(values)
+    branches = math.prod(map(len, live))
     if branches > R_PQI_BRANCH_CAP:
         raise InstanceTooLarge("%d diagonal branches exceed cap %d" % (branches, R_PQI_BRANCH_CAP))
-    for choice in itertools.product(values, repeat=len(star_diags)):
-        resolved = dict(zip(star_diags, choice))
-        needs = list(base_needs)
-        demands = {}
-        for a in bits(wanted):
-            star = 1 if a in resolved else 0  # the diagonal counts on its resolved side
-            off_diag_stars = profile.n - profile.col_known[a].bit_count() - star
-            if resolved.get(a) == 1 or profile.diag_pos >> a & 1:
-                needs[a] -= star
-                if needs[a] < 0:
-                    break
-                demands[a] = max(0, rule.s - (profile.col_pos[a].bit_count() + star))
-            else:
-                disq = (profile.col_known[a] & ~profile.col_pos[a]).bit_count() + star
-                demands[a] = max(0, disq + off_diag_stars - (rule.t - 1))
-            if demands[a] > off_diag_stars:
-                break
-        else:
-            if _star_flow_value(profile, wanted, needs, demands):
-                return True
+    for choice in itertools.product(*live):
+        branch_needs = list(needs)
+        for a, spent, _demand in choice:
+            branch_needs[a] -= spent
+        if _star_flow_value(profile, wanted, branch_needs, {a: demand for a, _spent, demand in choice}):
+            return True
     return False
 
 
@@ -379,16 +385,13 @@ def r_nqi(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     if not rule.column_local:
         return _r1_sequential(profile, wanted, rule, spend_all)
     full = full_mask(n)
-    # the diagonal values each row can still take: an unknown diagonal can
-    # turn +1 in a row with a need, and -1 in a row that need not spend all
-    takes_plus = profile.diag_pos | (mask_of(b for b, need in enumerate(needs) if need) & ~profile.diag_known)
-    takes_minus = full & ~profile.diag_pos & ~(spend_all & ~profile.diag_known)
     for a in bits(wanted):
         bit = 1 << a
         # the forced off-diagonal +1 cells; every other cell dodges to -1
         worst = (profile.col_pos[a] | (~profile.col_known[a] & spend_all)) & ~bit
-        if (takes_plus & bit and not _column_qualifies(rule, n, bit, worst | bit, full)
-                or takes_minus & bit and not _column_qualifies(rule, n, bit, worst, full)):
+        plus, minus = _diagonal_values(profile, needs, a)
+        if (plus and not _column_qualifies(rule, n, bit, worst | bit, full)
+                or minus and not _column_qualifies(rule, n, bit, worst, full)):
             return False
     return True
 
@@ -410,22 +413,22 @@ def _r1_sequential(profile: Profile, wanted: int, rule: SocialRule, plus_rows: i
     return profile.col_pos[a] | (~profile.col_known[a] & plus_rows) == full_mask(profile.n)
 
 
-def r_sequential(profile: Profile, subset, r: int, rule: SocialRule, mode: str,
-                 search: SearchBudget = DEFAULT_SEARCH) -> bool | None:
+def r_sequential(profile: Profile, subset, r: int, rule: SocialRule, mode: str) -> bool | None:
     """Exactly-r csr/lsr queries decided without enumeration, or None.
 
-    It refuses exactly what pqi_nqi_brute refuses, in the same order and
-    under the same node limit.  At r = 1 PQI is exact (_r1_sequential):
-    S is possible iff the rows it needs can aim their +1 at it.
-    Otherwise the canonical completions bound every r-extension, one
-    of which exists: if the all--1 completion qualifies S, every one does,
-    and if the all-+1 completion misses S, none does.  In between the
-    answer is None and the query is left to enumeration.
+    It refuses what pqi_nqi_brute refuses before its node limit, in the
+    same order, and charges no nodes: it enumerates nothing.  At r = 1
+    PQI is exact (_r1_sequential): S is possible iff the rows it needs
+    can aim their +1 at it.  Otherwise the canonical completions bound
+    every r-extension, one of which exists: if the all--1 completion
+    qualifies S, every one does, and if the all-+1 completion misses S,
+    none does.  In between the answer is None and the query is left to
+    enumeration.
     """
     if rule.column_local:
         raise PreconditionViolated("the sequential r route handles csr and lsr rules")
     wanted = _query_mask(profile, subset)
-    needs = _r_extension_needs(profile, r, search)
+    needs = row_needs(profile, r)
     if not wanted:
         return True  # the empty set qualifies under every completion
     if r == 1 and mode == PQI:
@@ -451,7 +454,7 @@ def answer_query(profile: Profile, query: PartialQuery, rule: SocialRule,
     if query.mode == NQI and (rule.variant == "consent" or (not rule.column_local and query.r == 1)):
         return r_nqi(profile, query.subset, query.r, rule), "r_nqi"
     if not rule.column_local:
-        answer = r_sequential(profile, query.subset, query.r, rule, query.mode, search)
+        answer = r_sequential(profile, query.subset, query.r, rule, query.mode)
         if answer is not None:
             return answer, "r_sequential"
     possible, necessary = pqi_nqi_brute(profile, query.subset, rule, r=query.r, search=search)

@@ -218,11 +218,18 @@ def test_negative_node_limit_is_config_error(capsys, tmp_path):
         assert run(capsys, argv + ["--limit-nodes", "-1"])[0] == 2
 
 
+# two unknowns per row: 2^4 r-extensions at r=2, 2^8 extensions without r
+OPEN_PAIRS_TEXT = ("gid v1\nkind partial\nn 4\nrow a1 + ? ? -\nrow a2 ? + - ?\n"
+                   "row a3 - ? + ?\nrow a4 ? - ? +\n")
+
+# every row reaches r = 2; tier1.yml runs the exactly-r routes on it
+R2_PARTIAL_TEXT = ("gid v1\nkind partial\nn 5\nrow a1 + ? ? - -\nrow a2 ? ? - + -\n"
+                   "row a3 - + ? ? -\nrow a4 ? - - + ?\nrow a5 - ? + - ?\n")
+
+
 def refuse_partial(capsys, tmp_path, extra):
-    # two unknowns per row: 2^4 r-extensions at r=2, 2^8 extensions without r
     profile = tmp_path / "p.gid"
-    profile.write_text("gid v1\nkind partial\nn 4\nrow a1 + ? ? -\nrow a2 ? + - ?\n"
-                       "row a3 - ? + ?\nrow a4 ? - ? +\n")
+    profile.write_text(OPEN_PAIRS_TEXT)
     code, out, err = run(capsys, ["partial", str(profile), "--mode", "pqi", "--subset", "a1"] + extra)
     assert code == 5
     assert out == ""
@@ -230,8 +237,21 @@ def refuse_partial(capsys, tmp_path, extra):
 
 
 def test_partial_r_enumeration_refused(capsys, tmp_path):
-    err = refuse_partial(capsys, tmp_path, ["--rule", "csr", "--r", "2", "--limit-nodes", "3"])
-    assert err == "error\tInstanceTooLarge\t16 r-extensions exceed node limit 3\n"
+    # the canonical completions leave lsr on a2,a3 open, so brute answers
+    # it and counts its 32 r-extensions against the limit first
+    profile = tmp_path / "r2.gid"
+    profile.write_text(R2_PARTIAL_TEXT)
+    code, out, err = run(capsys, ["partial", str(profile), "--rule", "lsr", "--mode", "pqi",
+                                  "--subset", "a2,a3", "--r", "2", "--limit-nodes", "3"])
+    assert (code, out) == (5, "")
+    assert err == "error\tInstanceTooLarge\t32 r-extensions exceed node limit 3\n"
+    # r_sequential enumerates nothing, so the limit leaves its answers alone
+    profile = tmp_path / "p.gid"
+    profile.write_text(OPEN_PAIRS_TEXT)
+    code, out, _ = run(capsys, ["partial", str(profile), "--rule", "csr", "--mode", "pqi",
+                                "--subset", "a1", "--r", "2", "--limit-nodes", "3"])
+    assert code == 1
+    assert ("solver", "r_sequential") in report_pairs(out)
 
 
 def test_partial_xval_enumeration_refused(capsys, tmp_path):

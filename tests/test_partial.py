@@ -420,8 +420,30 @@ def test_r_pqi_general_guards(monkeypatch):
     with pytest.raises(PreconditionViolated):
         r_pqi_general(profile, [0], 1, SocialRule.csr())
     monkeypatch.setattr(partial, "R_PQI_BRANCH_CAP", 1)
-    with pytest.raises(InstanceTooLarge):
-        r_pqi_general(profile, [0, 1], 1, consent(1, 1))
+    # both diagonal values stay live for both members: 4 combinations
+    with pytest.raises(InstanceTooLarge, match="^4 diagonal branches exceed cap 1$"):
+        r_pqi_general(profile, [0, 1], 1, consent(2, 2))
+    # under t = 1 a -1 diagonal is never live, so one combination is tried
+    assert r_pqi_general(profile, [0, 1], 1, consent(1, 1)) is True
+
+
+def test_diagonal_values_exhaustively():
+    # every row pattern over {+1, -1, ?} at n <= 4, every diagonal position
+    # and every r the row can reach, against the row's exactly-r completions
+    for n in range(1, 5):
+        for row in itertools.product((1, -1, 0), repeat=n):
+            unknown = [b for b in range(n) if row[b] == 0]
+            plus = row.count(1)
+            for a in range(n):
+                rows = [[0] * n for _ in range(n)]
+                rows[a] = list(row)
+                profile = make_profile(rows, kind="partial")
+                for r in range(max(1, plus), plus + len(unknown) + 1):
+                    needs = [0] * n
+                    needs[a] = r - plus
+                    values = {1 if row[a] == 1 or a in chosen else -1
+                              for chosen in itertools.combinations(unknown, r - plus)}
+                    assert partial._diagonal_values(profile, needs, a) == (1 in values, -1 in values), (row, a, r)
 
 
 def test_r_nqi_goldens():
@@ -527,7 +549,7 @@ def error_text(run):
 def test_r_sequential_matches_brute():
     # r = 1 PQI closed forms and canonical-completion bounds against
     # enumeration, refusals included: rows that cannot reach r, indices out
-    # of range, ternary profiles and node limits
+    # of range, ternary profiles and, on the brute route, node limits
     rng = random.Random(446)
     routes = collections.Counter()
     for _ in range(600):
@@ -544,17 +566,23 @@ def test_r_sequential_matches_brute():
             subset |= {n, -1}
         search = SearchBudget(rng.choice([None, None, None, 0, 4, 64]))
         rule = rng.choice([SocialRule.csr(), SocialRule.lsr()])
-        brute = error_text(lambda: pqi_nqi_brute(profile, subset, rule, r=r, search=search))
+        limited = error_text(lambda: pqi_nqi_brute(profile, subset, rule, r=r, search=search))
+        unbounded = error_text(lambda: pqi_nqi_brute(profile, subset, rule, r=r))
         for index, mode in enumerate((PQI, NQI)):
             if r == 1 and mode == NQI:
                 continue  # r_nqi's, which enumerates nothing and takes no node limit
             answer = error_text(lambda: answer_query(profile, PartialQuery(subset, mode, r=r), rule, search))
+            brute = limited
             if isinstance(answer, tuple):
                 answer, route = answer
                 routes[route] += 1
+                if route == "r_sequential":
+                    brute = unbounded  # it enumerates nothing, so the limit does not apply
+                    routes["past the limit"] += isinstance(limited, str)
             expected = brute if isinstance(brute, str) else brute[index]
             assert answer == expected, (profile.rows(), sorted(subset), rule.variant, r, mode)
     assert routes["r_sequential"] > 100 and routes["brute"] > 10, routes
+    assert routes["past the limit"] > 10, routes
 
 
 def test_r_sequential_closed_form_edges():
@@ -587,9 +615,15 @@ def test_r_sequential_refusals():
     with pytest.raises(IndexOutOfRange):
         r_sequential(make_profile([[1, 0], [0, 1]], kind="partial"), {5}, 9, lsr, PQI)
     with pytest.raises(NoRExtension):
-        r_sequential(make_profile([[1, 0], [0, 1]], kind="partial"), {0}, 9, lsr, PQI, SearchBudget(0))
+        r_sequential(make_profile([[1, 0], [0, 1]], kind="partial"), {0}, 9, lsr, PQI)
+    # only enumeration counts its r-extensions against the node limit,
+    # after the rows' own refusals
+    with pytest.raises(NoRExtension):
+        pqi_nqi_brute(make_profile([[1, 0], [0, 1]], kind="partial"), {0}, lsr, r=9, search=SearchBudget(0))
+    open2 = make_profile([[0, 0], [0, 0]], kind="partial")
     with pytest.raises(InstanceTooLarge, match="^4 r-extensions exceed node limit 3$"):
-        r_sequential(make_profile([[0, 0], [0, 0]], kind="partial"), {0}, 1, lsr, PQI, SearchBudget(3))
+        pqi_nqi_brute(open2, {0}, lsr, r=1, search=SearchBudget(3))
+    assert answer_query(open2, PartialQuery({0}, PQI, r=1), lsr, SearchBudget(3)) == (True, "r_sequential")
 
 
 def test_every_route_names_the_same_out_of_range_index():
