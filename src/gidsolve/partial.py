@@ -28,14 +28,22 @@ The unrestricted queries reduce to evaluating one canonical completion:
 Only csr/lsr's all-+1 completion is built; the others are read off the
 partial profile's masks.  Past its guards every route works on the checked
 query mask and judges the query columns only; csr and lsr judge everyone.
-Exactly-r consent PQI runs one flow over the unknown cells of S-columns per
-combination of the members' live diagonal values (_diagonal_values), and
-NQI reads per-column forced and dodgeable masks.  For csr and lsr every
-r-extension lies between the two canonical completions, so they bound the
-r-restricted queries, and at r = 1 each row's single +1 gives closed forms;
-neither enumerates, so neither charges the node limit.  `answer_query`
-routes to the right specialised routine and falls back to extension
-enumeration where none applies or the bounds leave the answer open.
+
+`answer_query` splits exactly-r queries once, on column-locality.  For
+consent and ternary rules, PQI runs one flow over the unknown cells of
+S-columns per combination of the members' live diagonal values
+(_diagonal_values), and NQI reads per-column forced and dodgeable masks.
+Ternary rules ride these consent routes unchanged: r-extensions are
+binary, so no star diagonal occurs and s' is never read, which leaves
+consent(s, t) without its quota bound.  Neither route leans on that
+bound: a -1 diagonal in a row that must spend every unknown on +1 is
+dead, and _diagonal_values drops it, where under consent the bound alone
+would make that branch fail.  For csr and lsr, r_sequential answers: at
+r = 1 each row's single +1 gives closed forms in both modes, and
+otherwise every r-extension lies between the two canonical completions,
+which bound the query.  None of these enumerates, so none charges the
+node limit; only the csr/lsr queries the bounds leave open fall back to
+extension enumeration.
 """
 
 from __future__ import annotations
@@ -179,44 +187,6 @@ def _check_query(profile: Profile, subset, rule: SocialRule) -> int:
     return wanted
 
 
-def _flips_diagonal(rule: SocialRule, n: int, quals_off: int) -> bool:
-    """Whether a member's unknown diagonal takes -sign in _extension's canonical
-    completion with quals_off off-diagonal +1 cells in its column: only -1
-    qualifies where +1 misses s and -1 stays under t (never under consent's
-    quota bound).  Only the reference builder _extension reads it."""
-    return quals_off + 1 < rule.s and n - quals_off < rule.t
-
-
-def _extension(profile: Profile, wanted: int, rule: SocialRule, sign: int) -> Profile:
-    """Binary completion resolving the unknowns to sign, for or against the
-    checked query mask wanted.
-
-    For sign = +1 an unknown (b, a) turns +1 in every column under csr/lsr
-    and in the members' columns otherwise, and -1 elsewhere; for sign = -1
-    every unknown turns -1, but a ternary member's unknown diagonal takes
-    -sign where _flips_diagonal says so.
-    """
-    n = profile.n
-    full = full_mask(n)
-    favoured = 0 if sign < 0 else (wanted if rule.column_local else full)
-    pos = [rp | (~rk & favoured) for rp, rk in zip(profile.row_pos, profile.row_known)]
-    if rule.variant == "ternary":
-        for a in bits(wanted & ~profile.diag_known):
-            if _flips_diagonal(rule, n, sum(pos[b] >> a & 1 for b in range(n) if b != a)):
-                pos[a] ^= 1 << a
-    return Profile(n=n, kind="binary", names=profile.names, row_pos=tuple(pos), row_known=(full,) * n)
-
-
-def optimistic_extension(profile: Profile, subset, rule: SocialRule) -> Profile:
-    """Completion resolving every unknown in favour of the queried set."""
-    return _extension(profile, _check_query(profile, subset, rule), rule, 1)
-
-
-def pessimistic_extension(profile: Profile, subset, rule: SocialRule) -> Profile:
-    """Completion resolving every unknown against the queried set."""
-    return _extension(profile, _check_query(profile, subset, rule), rule, -1)
-
-
 def _plain_query_guards(profile: Profile, query: PartialQuery, mode: str):
     if query.mode != mode:
         raise PreconditionViolated("expected a %s query, got %s" % (mode, query.mode))
@@ -225,16 +195,20 @@ def _plain_query_guards(profile: Profile, query: PartialQuery, mode: str):
 
 
 def _completion_qualifies(profile: Profile, wanted: int, rule: SocialRule, sign: int) -> bool:
-    """Whether all of wanted qualifies in _extension(profile, wanted, rule, sign),
-    read off the profile: column-local rules complete each member's column from
-    the column views, and csr/lsr, which read only the +1 cells of row_pos and
-    diag_pos, take the profile itself as their all--1 completion.  A member with
-    an unknown diagonal qualifies at sign +1 when some value of it qualifies the
-    member, and at sign -1 when every value does."""
+    """Whether all of wanted qualifies in the canonical completion that
+    resolves every unknown to sign (for the members at +1, against them at
+    -1).  Column-local rules complete each member's column from the column
+    views.  csr/lsr read only the +1 cells of row_pos and diag_pos, so the
+    profile itself is their all--1 completion and the all-+1 one turns each
+    row to pos | ~known.  A member with an unknown diagonal qualifies at
+    sign +1 when some value of it qualifies the member, and at sign -1 when
+    every value does."""
     n = profile.n
     full = full_mask(n)
     if not rule.column_local:
-        completion = profile if sign < 0 else _extension(profile, wanted, rule, sign)
+        completion = profile if sign < 0 else Profile(
+            n=n, kind="binary", names=profile.names, row_known=(full,) * n,
+            row_pos=tuple(rp | (full & ~rk) for rp, rk in zip(profile.row_pos, profile.row_known)))
         return not wanted & ~eval_mask(rule, full, completion)
     col_pos, col_known = profile._columns()
     for a in bits(wanted):
@@ -290,14 +264,14 @@ def _star_flow_value(profile: Profile, wanted: int, needs: list[int], demands: d
 
 
 def r_pqi_consent_flow(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
-    """Possible qualification under exactly-r rows, consent with t = 1.
+    """Possible qualification under exactly-r rows, consent or ternary with t = 1.
 
     With t = 1 a -1 diagonal is never live, so _r_pqi_branches runs one
     flow: each row's mandatory +1 count goes onto unknown cells of
     S-columns until every member's approval quota s is met.
     """
-    if rule.variant != "consent" or rule.t != 1 or rule.s < 2:
-        raise PreconditionViolated("flow solver handles consent rules with t = 1 and s >= 2")
+    if not rule.column_local or rule.t != 1 or rule.s < 2:
+        raise PreconditionViolated("flow solver handles consent and ternary rules with t = 1 and s >= 2")
     return _r_pqi_branches(profile, subset, r, rule)
 
 
@@ -305,10 +279,10 @@ R_PQI_BRANCH_CAP = 4096  # live diagonal combinations _r_pqi_branches will try b
 
 
 def r_pqi_general(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
-    """Possible qualification under exactly-r rows, any consent rule:
-    _r_pqi_branches over the members' live diagonal values."""
-    if rule.variant != "consent":
-        raise PreconditionViolated("the general r solver handles consent rules only")
+    """Possible qualification under exactly-r rows, any consent or ternary
+    rule: _r_pqi_branches over the members' live diagonal values."""
+    if not rule.column_local:
+        raise PreconditionViolated("the general r solver handles consent and ternary rules only")
     return _r_pqi_branches(profile, subset, r, rule)
 
 
@@ -362,28 +336,26 @@ def _r_pqi_branches(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
     return False
 
 
-def r_nqi(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
-    """Necessary qualification under exactly-r rows.
+def _spend_all_rows(profile: Profile, needs: list[int]) -> int:
+    """Mask of the rows whose need equals their unknown count: they spend every unknown on +1."""
+    return mask_of(b for b, (need, known) in enumerate(zip(needs, profile.row_known))
+                   if need == profile.n - known.bit_count())
 
-    Handles consent rules for any quotas, and the sequential rules for
-    r = 1 through _r1_sequential.  A row whose need equals its
-    unknown count must spend them all, so a column's forced mask holds
-    its known +1 rows and the spend-all rows where it is unknown; every
-    other row is dodgeable, a known -1 or an unknown in a row with slack
-    to make it -1.  Rows dodge independently, so the per-member worst
-    case is exact.
+
+def r_nqi(profile: Profile, subset, r: int, rule: SocialRule) -> bool:
+    """Necessary qualification under exactly-r rows, consent and ternary rules.
+
+    A column's forced mask holds its known +1 rows and the spend-all rows
+    (_spend_all_rows) where it is unknown; every other row is dodgeable, a
+    known -1 or an unknown in a row with slack to make it -1.  Rows dodge
+    independently, so the per-member worst case is exact.
     """
-    if rule.variant == "ternary":
-        raise PreconditionViolated("the r solver handles consent, csr and lsr rules")
-    if not rule.column_local and r != 1:
-        raise PreconditionViolated("sequential rules are only solved directly for r = 1")
+    if not rule.column_local:
+        raise PreconditionViolated("the r solver handles consent and ternary rules")
     wanted = _check_query(profile, subset, rule)
     n = profile.n
     needs = row_needs(profile, r)
-    spend_all = mask_of(b for b, (need, known) in enumerate(zip(needs, profile.row_known))
-                        if need == n - known.bit_count())
-    if not rule.column_local:
-        return _r1_sequential(profile, wanted, rule, spend_all)
+    spend_all = _spend_all_rows(profile, needs)
     full = full_mask(n)
     for a in bits(wanted):
         bit = 1 << a
@@ -418,12 +390,12 @@ def r_sequential(profile: Profile, subset, r: int, rule: SocialRule, mode: str) 
 
     It refuses what pqi_nqi_brute refuses before its node limit, in the
     same order, and charges no nodes: it enumerates nothing.  At r = 1
-    PQI is exact (_r1_sequential): S is possible iff the rows it needs
-    can aim their +1 at it.  Otherwise the canonical completions bound
-    every r-extension, one of which exists: if the all--1 completion
-    qualifies S, every one does, and if the all-+1 completion misses S,
-    none does.  In between the answer is None and the query is left to
-    enumeration.
+    both modes are exact (_r1_sequential): S is possible iff the rows with
+    a need can aim their +1 at it, and necessary iff the spend-all rows
+    do.  Otherwise the canonical completions bound every r-extension, one
+    of which exists: if the all--1 completion qualifies S, every one does,
+    and if the all-+1 completion misses S, none does.  In between the
+    answer is None and the query is left to enumeration.
     """
     if rule.column_local:
         raise PreconditionViolated("the sequential r route handles csr and lsr rules")
@@ -431,8 +403,10 @@ def r_sequential(profile: Profile, subset, r: int, rule: SocialRule, mode: str) 
     needs = row_needs(profile, r)
     if not wanted:
         return True  # the empty set qualifies under every completion
-    if r == 1 and mode == PQI:
-        return _r1_sequential(profile, wanted, rule, mask_of(b for b, need in enumerate(needs) if need))
+    if r == 1:
+        plus_rows = (mask_of(b for b, need in enumerate(needs) if need) if mode == PQI
+                     else _spend_all_rows(profile, needs))
+        return _r1_sequential(profile, wanted, rule, plus_rows)
     if _completion_qualifies(profile, wanted, rule, -1):
         return True
     if not _completion_qualifies(profile, wanted, rule, 1):
@@ -447,15 +421,14 @@ def answer_query(profile: Profile, query: PartialQuery, rule: SocialRule,
         if query.mode == PQI:
             return pqi(profile, query, rule), "pqi"
         return nqi(profile, query, rule), "nqi"
-    if query.mode == PQI and rule.variant == "consent":
+    if rule.column_local:
+        if query.mode == NQI:
+            return r_nqi(profile, query.subset, query.r, rule), "r_nqi"
         if rule.t == 1 and rule.s >= 2:
             return r_pqi_consent_flow(profile, query.subset, query.r, rule), "r_pqi_consent_flow"
         return r_pqi_general(profile, query.subset, query.r, rule), "r_pqi_general"
-    if query.mode == NQI and (rule.variant == "consent" or (not rule.column_local and query.r == 1)):
-        return r_nqi(profile, query.subset, query.r, rule), "r_nqi"
-    if not rule.column_local:
-        answer = r_sequential(profile, query.subset, query.r, rule, query.mode)
-        if answer is not None:
-            return answer, "r_sequential"
+    answer = r_sequential(profile, query.subset, query.r, rule, query.mode)
+    if answer is not None:
+        return answer, "r_sequential"
     possible, necessary = pqi_nqi_brute(profile, query.subset, rule, r=query.r, search=search)
     return (possible if query.mode == PQI else necessary), "brute"

@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
-from gidsolve.profiles import SocialRule, make_profile
+from gidsolve.partial import _check_query
+from gidsolve.profiles import Profile, SocialRule, bits, full_mask, make_profile
 
 EX1_ROWS = [
     [1, 1, 1, -1, 1],
@@ -67,3 +68,42 @@ def reference_rounds(rule, t, grid):
         if ok:
             out.add(a)
     return [frozenset(out)]
+
+
+def _flips_diagonal(rule, n, quals_off):
+    """Whether a member's unknown diagonal takes -sign in _extension's canonical
+    completion with quals_off off-diagonal +1 cells in its column: only -1
+    qualifies where +1 misses s and -1 stays under t (never under consent's
+    quota bound)."""
+    return quals_off + 1 < rule.s and n - quals_off < rule.t
+
+
+def _extension(profile, wanted, rule, sign):
+    """Binary completion resolving the unknowns to sign, for or against the
+    checked query mask wanted: the reference the canonical-completion
+    queries are checked against.
+
+    For sign = +1 an unknown (b, a) turns +1 in every column under csr/lsr
+    and in the members' columns otherwise, and -1 elsewhere; for sign = -1
+    every unknown turns -1, but a ternary member's unknown diagonal takes
+    -sign where _flips_diagonal says so.
+    """
+    n = profile.n
+    full = full_mask(n)
+    favoured = 0 if sign < 0 else (wanted if rule.column_local else full)
+    pos = [rp | (~rk & favoured) for rp, rk in zip(profile.row_pos, profile.row_known)]
+    if rule.variant == "ternary":
+        for a in bits(wanted & ~profile.diag_known):
+            if _flips_diagonal(rule, n, sum(pos[b] >> a & 1 for b in range(n) if b != a)):
+                pos[a] ^= 1 << a
+    return Profile(n=n, kind="binary", names=profile.names, row_pos=tuple(pos), row_known=(full,) * n)
+
+
+def optimistic_extension(profile, subset, rule):
+    """Completion resolving every unknown in favour of the queried set."""
+    return _extension(profile, _check_query(profile, subset, rule), rule, 1)
+
+
+def pessimistic_extension(profile, subset, rule):
+    """Completion resolving every unknown against the queried set."""
+    return _extension(profile, _check_query(profile, subset, rule), rule, -1)

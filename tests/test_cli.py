@@ -254,6 +254,19 @@ def test_partial_r_enumeration_refused(capsys, tmp_path):
     assert ("solver", "r_sequential") in report_pairs(out)
 
 
+def test_partial_ternary_r_query_ignores_node_limit(capsys, tmp_path):
+    # a 6x6 profile of unknowns has 20^6 = 64,000,000 r-extensions at r = 3;
+    # ternary queries go through the column-local routes, which enumerate
+    # nothing, so a node limit of 3 leaves them alone
+    profile = tmp_path / "open6.gid"
+    profile.write_text("gid v1\nkind partial\nn 6\n" + "".join("row a%d%s\n" % (a, " ?" * 6) for a in range(1, 7)))
+    for mode, route in (("nqi", "r_nqi"), ("pqi", "r_pqi_general")):
+        code, out, _ = run(capsys, ["partial", str(profile), "--rule", "ternary:1,*,7", "--mode", mode,
+                                    "--subset", "a1", "--r", "3", "--limit-nodes", "3"])
+        pairs = dict(report_pairs(out))
+        assert (code, pairs["result"], pairs["solver"]) == (0, "true", route)
+
+
 def test_partial_xval_enumeration_refused(capsys, tmp_path):
     err = refuse_partial(capsys, tmp_path, ["--rule", "consent:2,1", "--xval", "--limit-nodes", "1"])
     assert err == "error\tInstanceTooLarge\t2^8 extensions exceed node limit 1\n"

@@ -36,7 +36,7 @@ from gidsolve.oracle import (
 from gidsolve.profiles import Profile, SocialRule, full_mask, make_profile, negate
 from gidsolve.solvers import ORACLE_FOR_FAMILY, ORACLES, solve_cgb_xp
 
-from helpers import ex1, valid_rules
+from helpers import ex1, optimistic_extension, pessimistic_extension, valid_rules
 
 
 def test_control_gcdi_witness_order():
@@ -508,8 +508,8 @@ def test_derived_profiles_skip_make_profile(monkeypatch):
             p, SocialRule.consent(3, 1), "GMB", "constructive", aplus=(3,), budget=1)),
         "completions": lambda: pqi_nqi_brute(unknowns, (0, 1), SocialRule.consent(1, 1)),
         "r-completions": lambda: pqi_nqi_brute(one_each, (0,), SocialRule.lsr(), r=1),
-        "optimistic": lambda: partial.optimistic_extension(unknowns, (0, 2), rule),
-        "pessimistic": lambda: partial.pessimistic_extension(unknowns, (0, 2), rule),
+        "optimistic": lambda: optimistic_extension(unknowns, (0, 2), rule),
+        "pessimistic": lambda: pessimistic_extension(unknowns, (0, 2), rule),
     }
     for name, run in runs.items():
         result = run()

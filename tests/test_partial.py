@@ -30,8 +30,6 @@ from gidsolve.partial import (
     answer_query,
     max_flow,
     nqi,
-    optimistic_extension,
-    pessimistic_extension,
     pqi,
     r_nqi,
     r_pqi_consent_flow,
@@ -39,6 +37,8 @@ from gidsolve.partial import (
     r_sequential,
 )
 from gidsolve.profiles import SocialRule, eval, make_profile
+
+from helpers import optimistic_extension, pessimistic_extension
 
 
 def consent(s, t):
@@ -317,15 +317,17 @@ def test_plain_queries_build_no_completion(monkeypatch):
         raise AssertionError("a completion was built")
 
     built = []
-    original = partial.Profile._columns
+    profile_class = partial.Profile
+    original = profile_class._columns
 
     def counting(self):
         if self._col_views is None:
             built.append(self)
         return original(self)
 
-    monkeypatch.setattr(partial, "_extension", no_completion)
-    monkeypatch.setattr(partial.Profile, "_columns", counting)
+    # csr/lsr PQI builds its all-+1 completion as a Profile inside partial
+    monkeypatch.setattr(partial, "Profile", no_completion)
+    monkeypatch.setattr(profile_class, "_columns", counting)
     profile = make_profile(rows, kind="partial")
     assert [answer_query(profile, query, rule) for query, rule in cases] == expected
     assert len(built) == 1 and built[0] is profile
@@ -448,24 +450,23 @@ def test_diagonal_values_exhaustively():
 
 def test_r_nqi_goldens():
     self_made = make_profile([[1, 0], [0, 1]], kind="partial")
-    assert r_nqi(self_made, [0], 1, SocialRule.lsr())
+    assert r_sequential(self_made, [0], 1, SocialRule.lsr(), NQI)
     forced = make_profile([[0, -1], [0, 1]], kind="partial")
-    assert r_nqi(forced, [0], 1, SocialRule.lsr())
+    assert r_sequential(forced, [0], 1, SocialRule.lsr(), NQI)
     slack = make_profile([[0, 0], [0, 1]], kind="partial")
-    assert not r_nqi(slack, [0], 1, SocialRule.lsr())
+    assert not r_sequential(slack, [0], 1, SocialRule.lsr(), NQI)
     unanimous = make_profile([[1, -1], [1, -1]], kind="partial")
-    assert r_nqi(unanimous, [0], 1, SocialRule.csr())
-    assert not r_nqi(unanimous, [0, 1], 1, SocialRule.csr())
+    assert r_sequential(unanimous, [0], 1, SocialRule.csr(), NQI)
+    assert not r_sequential(unanimous, [0, 1], 1, SocialRule.csr(), NQI)
 
 
 def test_r_nqi_guards():
     profile = make_profile([[0, 0], [0, 0]], kind="partial")
-    with pytest.raises(PreconditionViolated):
-        r_nqi(profile, [0], 2, SocialRule.csr())
-    with pytest.raises(PreconditionViolated):
-        r_nqi(profile, [0], 2, SocialRule.lsr())
-    with pytest.raises(PreconditionViolated):
-        r_nqi(profile, [0], 1, SocialRule.ternary(1, 1, 1))
+    for r in (1, 2):
+        for rule in (SocialRule.csr(), SocialRule.lsr()):
+            with pytest.raises(PreconditionViolated):
+                r_nqi(profile, [0], r, rule)
+    assert r_nqi(profile, [0], 1, SocialRule.ternary(1, 1, 1)) is False
 
 
 @pytest.mark.parametrize("seed", [442, 443])
@@ -481,15 +482,14 @@ def test_r_nqi_matches_brute(seed):
         assert r_nqi(profile, subset, r, rule) == necessary
 
 
-def test_r_nqi_sequential_rules_match_brute():
-    rng = random.Random(444)
-    for _ in range(60):
-        n = rng.randrange(2, 6)
-        profile = random_r_partial(rng, n, 1, 7)
-        rule = rng.choice([SocialRule.csr(), SocialRule.lsr()])
-        subset = random_subset(rng, n)
-        _, necessary = pqi_nqi_brute(profile, subset, rule, r=1)
-        assert r_nqi(profile, subset, 1, rule) == necessary
+def test_ternary_r_queries_drop_the_dead_minus_diagonal():
+    # row a2 must turn both unknowns +1, so its diagonal cannot be -1, and
+    # ternary(4, *, 4) has no quota bound to make that branch fail
+    profile = make_profile([[1, 1], [0, 0]], kind="partial")
+    rule = SocialRule.ternary(4, None, 4)
+    assert pqi_nqi_brute(profile, {1}, rule, r=2) == (False, False)
+    for mode, route in ((PQI, "r_pqi_general"), (NQI, "r_nqi")):
+        assert answer_query(profile, PartialQuery({1}, mode, r=2), rule) == (False, route)
 
 
 # ----------------------------------------------------------- answer_query
@@ -504,14 +504,14 @@ def test_answer_query_dispatch():
         (PartialQuery([0], PQI, r=1), consent(1, 2), "r_pqi_general"),
         (PartialQuery([0], PQI, r=1), consent(1, 1), "r_pqi_general"),
         (PartialQuery([0], NQI, r=1), consent(2, 2), "r_nqi"),
-        (PartialQuery([0], NQI, r=1), SocialRule.lsr(), "r_nqi"),
-        (PartialQuery([0], NQI, r=1), SocialRule.csr(), "r_nqi"),
+        (PartialQuery([0], NQI, r=1), SocialRule.lsr(), "r_sequential"),
+        (PartialQuery([0], NQI, r=1), SocialRule.csr(), "r_sequential"),
         (PartialQuery([0], NQI, r=2), SocialRule.csr(), "brute"),
         (PartialQuery([0], PQI, r=1), SocialRule.lsr(), "r_sequential"),
         (PartialQuery([0], PQI, r=2), SocialRule.lsr(), "r_sequential"),
         (PartialQuery([0], NQI, r=2), SocialRule.lsr(), "r_sequential"),
-        (PartialQuery([0], PQI, r=1), SocialRule.ternary(1, 1, 1), "brute"),
-        (PartialQuery([0], NQI, r=1), SocialRule.ternary(1, 1, 1), "brute"),
+        (PartialQuery([0], PQI, r=1), SocialRule.ternary(1, 1, 1), "r_pqi_general"),
+        (PartialQuery([0], NQI, r=1), SocialRule.ternary(1, 1, 1), "r_nqi"),
     ]
     for query, rule, expected in cases:
         _, method = answer_query(profile, query, rule)
@@ -547,7 +547,7 @@ def error_text(run):
 
 
 def test_r_sequential_matches_brute():
-    # r = 1 PQI closed forms and canonical-completion bounds against
+    # r = 1 closed forms and canonical-completion bounds against
     # enumeration, refusals included: rows that cannot reach r, indices out
     # of range, ternary profiles and, on the brute route, node limits
     rng = random.Random(446)
@@ -569,8 +569,6 @@ def test_r_sequential_matches_brute():
         limited = error_text(lambda: pqi_nqi_brute(profile, subset, rule, r=r, search=search))
         unbounded = error_text(lambda: pqi_nqi_brute(profile, subset, rule, r=r))
         for index, mode in enumerate((PQI, NQI)):
-            if r == 1 and mode == NQI:
-                continue  # r_nqi's, which enumerates nothing and takes no node limit
             answer = error_text(lambda: answer_query(profile, PartialQuery(subset, mode, r=r), rule, search))
             brute = limited
             if isinstance(answer, tuple):
